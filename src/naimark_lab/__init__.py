@@ -15,7 +15,6 @@ from .linalg import (
     gram_schmidt_complete,
     hermitian_eigensystem,
     partial_trace,
-    unitary_from_skew,
     von_neumann_entropy,
 )
 from .povm import (
@@ -54,7 +53,6 @@ from .optimize import (
     minimize,
     minimize_over_e,
     normalized_cost,
-    objective,
 )
 from .bounds import (
     BoundReport,
@@ -124,7 +122,6 @@ __all__ = [
     "mixing_reduction_scan",
     "mutual_information",
     "normalized_cost",
-    "objective",
     "partial_trace",
     "post_process",
     "posterior_distribution",
@@ -138,7 +135,6 @@ __all__ = [
     "trine_cost_exact",
     "trine_curve",
     "trine_source",
-    "unitary_from_skew",
     "validate",
     "validate_extension",
     "von_neumann_entropy",

@@ -100,8 +100,8 @@ def cmd_cost(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    cfg = OptimizerConfig(restarts=args.restarts, seed=_default_seed(args.seed))
     try:
+        cfg = OptimizerConfig(restarts=args.restarts, seed=_default_seed(args.seed))
         if args.e is not None and args.e_max is None:
             report = minimize(P, args.e, cfg)
         else:
@@ -185,12 +185,13 @@ def cmd_trine(args: argparse.Namespace) -> int:
     if args.grid < 1:
         print("error: --grid must be >= 1", file=sys.stderr)
         return 2
-    exact = trine_cost_exact()
-    cfg = OptimizerConfig(restarts=8, seed=_default_seed(None))
-    report = minimize(trine(), 2, cfg)
-    scan = derivative_sign_scan(10_000)
-    curve = trine_curve(args.grid)
+    # open the output first, so an unwritable path fails before any work
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
+        exact = trine_cost_exact()
+        cfg = OptimizerConfig(restarts=8, seed=_default_seed(None))
+        report = minimize(trine(), 2, cfg)
+        scan = derivative_sign_scan(10_000)
+        curve = trine_curve(args.grid)
         writer = csv.writer(fh)
         writer.writerow(["theta", "E"])
         for theta, value in zip(curve.thetas, curve.values):
@@ -215,10 +216,21 @@ def cmd_random_scan(args: argparse.Namespace) -> int:
     if args.count < 0:
         print("error: --count must be >= 0", file=sys.stderr)
         return 2
+    if args.d < 2:
+        print(f"error: random-scan requires d >= 2 (got d = {args.d})", file=sys.stderr)
+        return 1
     seed = _default_seed(args.seed)
-    cfg = OptimizerConfig(restarts=args.restarts, seed=seed)
+    try:
+        cfg = OptimizerConfig(restarts=args.restarts, seed=seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     bound_m = 1 - 1 / args.m
     bound_d = bound_dimension(args.d)
+    # best_bound's one-extra-direction witness needs e >= m + 1; below that
+    # the element-count and dimension caps are the bounds to hold the cost to
+    use_best = args.e >= args.m + 1
+    cap_name = "best_bound" if use_best else "min(bound_m, bound_d)"
     rows: list[tuple[int, float, float, float, float]] = []
     excesses: list[float] = []
     for i in range(args.count):
@@ -230,7 +242,8 @@ def cmd_random_scan(args: argparse.Namespace) -> int:
             return 2
         bb = best_bound(P, seed=seed + i)
         rows.append((i, report.best_cost, bound_m, bound_d, bb.value))
-        excesses.append(report.best_cost - bb.value)
+        cap = bb.value if use_best else min(bound_m, bound_d)
+        excesses.append(report.best_cost - cap)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["seed_index", "cost", "bound_m", "bound_d", "best_bound"])
@@ -242,11 +255,11 @@ def cmd_random_scan(args: argparse.Namespace) -> int:
     violations = sum(1 for x in excesses if x > 1e-6)
     if violations:
         print(
-            f"WARNING: {violations} rows exceed best_bound + 1e-6 "
+            f"WARNING: {violations} rows exceed {cap_name} + 1e-6 "
             f"(worst excess {max(excesses):.3e})"
         )
     elif rows:
-        print("all rows satisfy cost <= best_bound + 1e-6")
+        print(f"all rows satisfy cost <= {cap_name} + 1e-6")
     if args.d == 2 and args.e == 2 and rows:
         max_cost = max(r[1] for r in rows)
         verdict = "within" if max_cost <= 0.4960 + 1e-3 else "EXCEEDS"
@@ -333,6 +346,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except PovmFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
 
 

@@ -1,15 +1,14 @@
 """Dense complex linear algebra primitives.
 
 Orthonormal completion, Hermitian eigendecomposition with canonical phases,
-skew-Hermitian exponentials, partial trace over a bipartite cut, and the two
-entropies everything downstream is measured in. All functions are pure and
-all entropies are base 2 (ebits / bits).
+partial trace over a bipartite cut, and the two entropies everything
+downstream is measured in. All functions are pure and all entropies are
+base 2 (ebits / bits).
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 ComplexVector = np.ndarray
 ComplexMatrix = np.ndarray
@@ -69,16 +68,6 @@ def gram_schmidt_complete(cols: ComplexMatrix, tol: float = 1e-10) -> ComplexMat
     out = np.array(basis).T
     out[:, :k] = cols
     return out
-
-
-def unitary_from_skew(S: ComplexMatrix) -> ComplexMatrix:
-    """exp(S) for skew-Hermitian S; the result is unitary to ~1e-10."""
-    S = np.asarray(S, dtype=complex)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise ValueError("S must be square")
-    if np.abs(S + S.conj().T).max() > 1e-12:
-        raise ValueError("S is not skew-Hermitian within 1e-12")
-    return scipy.linalg.expm(S)
 
 
 def hermitian_eigensystem(H: ComplexMatrix, tol: float = 1e-10):

@@ -8,8 +8,10 @@ basis vector 0 and requires block 0 of row nu to equal k_nu for nu <= m
 and to vanish for nu > m. Measuring the basis with the ancilla prepared
 in state 0 then reproduces the POVM, and rows nu > m never fire.
 
-The completion freedom, a (de-d)-dimensional unitary acting on the
-completion columns, is exactly the search space of the cost optimizer.
+Only the m firing rows carry cost. Their completion part X satisfies
+X X^dag = I - M M^dag, so X = B Q with B of rank r = m - d and Q an
+r x d(e-1) matrix with orthonormal rows; that Q is the search space of the
+cost optimizer, and every completion unitary V in U(de-d) maps to one such Q.
 """
 
 from __future__ import annotations
@@ -18,18 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    binary_entropy,
-    gram_schmidt_complete,
-    hermitian_eigensystem,
-    partial_trace,
-    von_neumann_entropy,
-)
+from .linalg import binary_entropy, gram_schmidt_complete, hermitian_eigensystem
 from .povm import ZERO_NORM_SQ, OutcomeDistribution, Povm
 
 # forgiving orthonormality gate for internal completions; POVM validity at
 # the standard 1e-9 must not be rejected here
 _COMPLETE_TOL = 1e-7
+# Floor inside the logarithm of the row entropies: keeps log2 finite on
+# product rows, where the gradient still vanishes since sqrt(lam) log(lam) -> 0.
+_LOG_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -127,6 +126,27 @@ def validate_extension(N: NaimarkExtension, P: Povm, tol: float = 1e-9) -> Exten
     return ExtensionReport(ok=unit <= tol and form <= tol, unitarity_residual=unit, form_residual=form)
 
 
+def _row_entropies(rows: np.ndarray, d: int, e: int, grad: bool = False):
+    """Entanglement entropy in bits of each row across the system/ancilla cut.
+
+    rows is (k, de), ancilla-major; the reduced states rho_nu = A^T A^* of
+    the (e, d) reshapes A are diagonalized in one batched eigh. With
+    grad=True, also returns Gamma (k, de) with dS_nu = 2 Re <Gamma_nu, dA_nu>:
+    S is a trace function, so dS = Tr(G drho) with G = -(log2 rho + 1/ln 2),
+    and Gamma_nu = A_nu conj(G_nu).
+    """
+    A = rows.reshape(-1, e, d)
+    rho = np.einsum("kia,kib->kab", A, A.conj())
+    lam, V = np.linalg.eigh(rho)
+    lam = np.clip(lam, 0.0, 1.0)
+    log_lam = np.log2(np.maximum(lam, _LOG_FLOOR))
+    S = -(lam * log_lam).sum(axis=1) + 0.0  # squash -0.0
+    if not grad:
+        return S
+    G = -(V * (log_lam + 1 / np.log(2))[:, None, :]) @ V.conj().transpose(0, 2, 1)
+    return S, (A @ G.conj()).reshape(rows.shape)
+
+
 def extension_cost(N: NaimarkExtension, weights: OutcomeDistribution) -> ExtensionCostBreakdown:
     """Weighted entanglement of the extension: E = sum_nu w_nu E_nu over nu <= m.
 
@@ -136,10 +156,7 @@ def extension_cost(N: NaimarkExtension, weights: OutcomeDistribution) -> Extensi
     weights = np.asarray(weights, dtype=float)
     if weights.size != N.m:
         raise ValueError("need one weight per POVM outcome")
-    ent = np.empty(N.m)
-    for nu in range(N.m):
-        rho = partial_trace(N.basis[nu], N.d, N.e, keep="system")
-        ent[nu] = von_neumann_entropy(rho)
+    ent = _row_entropies(N.basis[: N.m], N.d, N.e)
     return ExtensionCostBreakdown(
         per_outcome_entanglement=ent, weights=weights, total=float(ent @ weights)
     )

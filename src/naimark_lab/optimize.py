@@ -1,11 +1,14 @@
-"""Minimization of extension cost over the unitary completion freedom.
+"""Minimization of extension cost over the completion freedom.
 
-The search space for ancilla dimension e is U(de - d), parameterized
-surjectively as V = exp(S) with S skew-Hermitian, (de - d)^2 real
-parameters. Multi-restart local search: restart 0 always starts at the
-default completion (params = 0), later restarts at seeded Gaussian points.
-Results are upper estimates of the true minimum; the problem is not convex
-and no global certificate is claimed.
+Only the m firing rows [M | X] carry cost, and their completion part is
+X = B Q, where B B^dag = I - M M^dag has rank r = m - d and Q is an
+r x d(e-1) matrix with orthonormal rows: a point on a Stiefel manifold.
+The search runs over an unconstrained complex Z with Q = polar(Z), by
+L-BFGS-B on the weighted row entropies and their analytic gradient, chained
+through the polar map. Restart 0 starts at the default completion, later
+restarts at seeded complex Gaussian points, so more restarts are never
+worse. Results are upper estimates of the true minimum; the problem is not
+convex and no global certificate is claimed.
 """
 
 from __future__ import annotations
@@ -15,37 +18,32 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.optimize
 
-from .linalg import unitary_from_skew, von_neumann_entropy
 from .naimark import (
     ExtensionCostBreakdown,
     NaimarkExtension,
-    _apply_completion,
+    _complete_rows,
     _default_block_basis,
+    _row_entropies,
     extension_cost,
 )
 from .povm import Povm, canonical_distribution
 
-# Nelder-Mead handles small parameter counts well; beyond this the simplex
-# is too slow to shrink and finite-difference descent takes over.
-_NM_PARAM_LIMIT = 36
+# L-BFGS-B stops once every gradient component is below this.
+_GRAD_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     restarts: int = 20
-    max_iters: int = 2000
-    objective_tol: float = 1e-8
-    step_tol: float = 1e-10
+    max_iters: int = 2000  # L-BFGS-B iterations per restart
+    objective_tol: float = 1e-10  # L-BFGS-B relative decrease per iteration
     seed: int = 0
-    method: str | None = None  # nelder_mead | finite_diff_gradient_descent | None=auto
 
     def __post_init__(self):
         if self.restarts < 1 or self.max_iters < 1:
             raise ValueError("counts must be positive")
-        if self.objective_tol <= 0 or self.step_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.method not in (None, "nelder_mead", "finite_diff_gradient_descent"):
-            raise ValueError(f"unknown method {self.method!r}")
+        if self.objective_tol <= 0:
+            raise ValueError("objective_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -59,150 +57,82 @@ class CostReport:
     history: list = field(default_factory=list)  # per-restart final values
 
 
-def _skew_from_params(params: np.ndarray, n: int) -> np.ndarray:
-    S = np.zeros((n, n), dtype=complex)
-    S[np.diag_indices(n)] = 1j * params[:n]
-    idx = n
-    for j in range(n):
-        for k in range(j + 1, n):
-            a, b = params[idx], params[idx + 1]
-            idx += 2
-            S[j, k] = a + 1j * b
-            S[k, j] = -a + 1j * b
-    return S
+def _search_space(P: Povm, e: int) -> tuple[np.ndarray, np.ndarray]:
+    """B (m x r) and the default completion's Q0 (r x n), with X0 = B Q0."""
+    L0 = _default_block_basis(P, e)  # raises on capacity d*e < m
+    U, s, Vh = np.linalg.svd(L0[: P.m, P.d :], full_matrices=False)
+    r = P.m - P.d
+    return U[:, :r] * s[:r], Vh[:r]
 
 
-def _cost_of_basis(basis: np.ndarray, d: int, e: int, m: int, weights: np.ndarray) -> float:
-    ent = np.empty(m)
-    for nu in range(m):
-        A = basis[nu].reshape(e, d)
-        ent[nu] = von_neumann_entropy(A.T @ A.conj())
-    return float(ent @ weights)
+def _polar(x: np.ndarray, r: int, n: int):
+    """Q = polar(Z) for Z packed as [Re Z, Im Z]; also U and sigma of Z = U sigma W^dag."""
+    Z = (x[: r * n] + 1j * x[r * n :]).reshape(r, n)
+    U, sigma, Wh = np.linalg.svd(Z, full_matrices=False)
+    return U @ Wh, U, sigma
 
 
-def _objective_impl(L0, d, e, m, weights, params) -> float:
-    n = d * e - d
-    if params.size != n * n:
-        raise ValueError(f"expected {n * n} parameters, got {params.size}")
-    if n == 0:
-        return _cost_of_basis(L0, d, e, m, weights)
-    V = unitary_from_skew(_skew_from_params(params, n))
-    return _cost_of_basis(_apply_completion(L0, d, V), d, e, m, weights)
-
-
-def objective(P: Povm, e: int, params: np.ndarray) -> float:
-    """Extension cost at completion exp(skew(params)), canonical weights."""
-    params = np.asarray(params, dtype=float).ravel()
-    L0 = _default_block_basis(P, e)
-    return _objective_impl(L0, P.d, e, P.m, canonical_distribution(P), params)
-
-
-def _descend_finite_diff(fun, x0, max_iters, objective_tol, step_tol):
-    """Gradient descent on a finite-difference gradient with backtracking."""
-    h = 1e-5
-    x = x0.copy()
-    f = fun(x)
-    converged = False
-    for _ in range(max_iters):
-        grad = np.empty_like(x)
-        for i in range(x.size):
-            xp = x.copy()
-            xm = x.copy()
-            xp[i] += h
-            xm[i] -= h
-            grad[i] = (fun(xp) - fun(xm)) / (2 * h)
-        gnorm = np.linalg.norm(grad)
-        if gnorm == 0:
-            converged = True
-            break
-        step = 1.0
-        improved = False
-        while step * gnorm > step_tol:
-            x_new = x - step * grad
-            f_new = fun(x_new)
-            if f_new <= f - 1e-4 * step * gnorm**2:
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            converged = True  # no descent direction at resolution step_tol
-            break
-        if f - f_new < objective_tol:
-            x, f = x_new, f_new
-            converged = True
-            break
-        x, f = x_new, f_new
-    return x, f, converged
+def _cost_and_grad(x, M, B, weights, d, e):
+    """Weighted row entropy at Q = polar(Z) and its gradient in [Re Z, Im Z]."""
+    r, n = B.shape[1], M.shape[1] * (e - 1)
+    Q, U, sigma = _polar(x, r, n)
+    S, Gamma = _row_entropies(np.concatenate([M, B @ Q], axis=1), d, e, grad=True)
+    GQ = B.conj().T @ (weights[:, None] * Gamma[:, d:])
+    # adjoint of the polar map with H = U sigma U^dag:
+    # Gamma_Z = K Q + H^-1 GQ (I - Q^dag Q), where H K + K H = R - R^dag
+    R = GQ @ Q.conj().T
+    C = U.conj().T @ (R - R.conj().T) @ U
+    K = U @ (C / (sigma[:, None] + sigma[None, :])) @ U.conj().T
+    GZ = K @ Q + ((U / sigma) @ U.conj().T) @ (GQ - R @ Q)
+    return float(weights @ S), 2 * np.concatenate([GZ.real.ravel(), GZ.imag.ravel()])
 
 
 def minimize(P: Povm, e: int, cfg: OptimizerConfig = OptimizerConfig()) -> CostReport:
     """Multi-restart minimization of extension cost at fixed ancilla dimension.
 
-    Restart r >= 1 draws its starting parameters from a generator seeded
-    with cfg.seed + r; ties between restarts resolve to the lowest index,
-    so serial and concurrent execution agree bit for bit.
+    Restart k >= 1 draws its complex Gaussian start from a generator seeded
+    with cfg.seed + k; ties between restarts resolve to the lowest index.
+    A von Neumann measurement (m = d, so r = 0) leaves the firing rows no
+    completion freedom: its single completion is evaluated once.
     """
     weights = canonical_distribution(P)
-    L0 = _default_block_basis(P, e)  # raises on capacity d*e < m
     d, m = P.d, P.m
-    n = d * e - d
-    npar = n * n
-
-    def fun(x: np.ndarray) -> float:
-        return _objective_impl(L0, d, e, m, weights, x)
-
-    method = cfg.method or (
-        "nelder_mead" if npar <= _NM_PARAM_LIMIT else "finite_diff_gradient_descent"
-    )
-
-    if npar == 0:
-        f0 = fun(np.empty(0))
-        history = [f0]
-        best_x = np.empty(0)
-        best_f, converged, restarts_run = f0, True, 1
-    else:
-        best_f, best_x, converged = np.inf, None, False
-        history = []
-        for r in range(cfg.restarts):
-            if r == 0:
-                x0 = np.zeros(npar)
+    B, Q = _search_space(P, e)
+    r, n = Q.shape  # n >= r by the capacity d*e >= m
+    history, converged = [], True
+    if r:
+        args = (P.matrix, B, weights, d, e)
+        best_f, best_x = np.inf, None
+        for k in range(cfg.restarts):
+            if k == 0:
+                Z0 = Q
             else:
-                rng = np.random.default_rng(cfg.seed + r)
-                x0 = 0.5 * rng.standard_normal(npar)
-            if method == "nelder_mead":
-                res = scipy.optimize.minimize(
-                    fun,
-                    x0,
-                    method="Nelder-Mead",
-                    options=dict(
-                        maxiter=cfg.max_iters,
-                        fatol=cfg.objective_tol,
-                        xatol=cfg.step_tol,
-                    ),
-                )
-                xr, fr, okr = res.x, float(res.fun), bool(res.success)
-            else:
-                xr, fr, okr = _descend_finite_diff(
-                    fun, x0, cfg.max_iters, cfg.objective_tol, cfg.step_tol
-                )
-            history.append(fr)
-            if fr < best_f:
-                best_f, best_x, converged = fr, xr, okr
-        restarts_run = cfg.restarts
+                rng = np.random.default_rng(cfg.seed + k)
+                Z0 = rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n))
+            x, f, info = scipy.optimize.fmin_l_bfgs_b(
+                _cost_and_grad,
+                np.concatenate([Z0.real.ravel(), Z0.imag.ravel()]),
+                args=args,
+                factr=cfg.objective_tol / np.finfo(float).eps,
+                pgtol=_GRAD_TOL,
+                maxiter=cfg.max_iters,
+            )
+            history.append(float(f))
+            if f < best_f:
+                best_f, best_x, converged = f, x, info["warnflag"] == 0
+        Q = _polar(best_x, r, n)[0]
 
-    if n == 0:
-        basis = L0
-    else:
-        V = unitary_from_skew(_skew_from_params(np.asarray(best_x, dtype=float), n))
-        basis = _apply_completion(L0, d, V)
+    basis = _complete_rows(np.concatenate([P.matrix, B @ Q], axis=1))
     ext = NaimarkExtension(d=d, e=e, m=m, basis=basis)
     breakdown = extension_cost(ext, weights)
+    if not history:  # no completion freedom: one evaluation
+        history = [breakdown.total]
     return CostReport(
         e_used=e,
         best_cost=breakdown.total,
         best_extension=ext,
         breakdown=breakdown,
-        restarts_run=restarts_run,
+        restarts_run=len(history),
         converged=converged,
         history=history,
     )

@@ -1,5 +1,12 @@
 """Shared constructions for the test suite."""
 
+import os
+
+# One BLAS thread: the matrices here are tiny, and extra threads only add CPU
+# time. Set before numpy is first imported, or the setting has no effect.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 
 from naimark_lab import Povm, convex_combine, post_process
@@ -75,3 +82,21 @@ def random_split(P: Povm, seed: int, max_parts: int = 2) -> Povm:
         w = rng.uniform(0.2, 1.0, parts)
         splits.append(list(w / w.sum()))
     return post_process(P, splits)
+
+
+def split_one(P: Povm, seed: int) -> Povm:
+    """Post-process P by splitting one seed-chosen outcome into two parts."""
+    rng = np.random.default_rng(seed)
+    mu = int(rng.integers(P.m))
+    q = float(rng.uniform(0.25, 0.75))
+    splits = [[1.0]] * P.m
+    splits[mu] = [q, 1 - q]
+    return post_process(P, splits)
+
+
+def qubit_sic() -> Povm:
+    """Tetrahedron POVM: four elements |psi_k>/sqrt(2) with tetrahedral Bloch vectors."""
+    rows = [[1, 0]] + [
+        [1 / np.sqrt(3), np.sqrt(2 / 3) * np.exp(2j * np.pi * k / 3)] for k in range(3)
+    ]
+    return Povm(np.array(rows, dtype=complex) / np.sqrt(2))

@@ -135,11 +135,12 @@ def test_random_scan_csv(tmp_path, capsys):
     assert [r[0] for r in rows] == [0.0, 1.0, 2.0, 3.0]
     assert all(r[2] == 1 - 1 / 3 for r in rows)
     text = capsys.readouterr().out
-    # the summary must agree with the table; a violation row warns, exit stays 0
-    if any(r[1] > r[4] + 1e-6 for r in rows):
+    # the summary must agree with the table; a violation row warns, exit stays 0.
+    # At e = 2 < m + 1 the cap is min(bound_m, bound_d), not best_bound.
+    if any(r[1] > min(r[2], r[3]) + 1e-6 for r in rows):
         assert "WARNING" in text
     else:
-        assert "all rows satisfy cost <= best_bound + 1e-6" in text
+        assert "all rows satisfy cost <= min(bound_m, bound_d) + 1e-6" in text
     assert "finding (d = 2, e = 2)" in text
 
 
@@ -164,6 +165,46 @@ def test_random_scan_env_seed_matches_flag(tmp_path, monkeypatch):
 
 def test_random_scan_rejects_m_below_d():
     assert main(["random-scan", "--d", "3", "--m", "2", "--count", "1"]) == 2
+
+
+def test_random_scan_e2_compares_with_caps_not_best_bound(tmp_path, capsys):
+    # best_bound (0.1524) lies below this POVM's e = 2 minimum; it holds only from e = m + 1
+    out_csv = tmp_path / "scan.csv"
+    assert main(["random-scan", "--d", "2", "--m", "4", "--count", "1", "--seed", "2050",
+                 "--out", str(out_csv)]) == 0
+    text = capsys.readouterr().out
+    assert "WARNING" not in text
+    assert "all rows satisfy cost <= min(bound_m, bound_d) + 1e-6" in text
+
+
+def test_restarts_zero_exit_2(tmp_path, capsys):
+    path = write_povm(tmp_path, trine())
+    assert main(["cost", path, "--e", "2", "--restarts", "0"]) == 2
+    assert main(["random-scan", "--d", "2", "--m", "3", "--count", "1", "--restarts", "0",
+                 "--out", str(tmp_path / "s.csv")]) == 2
+    assert capsys.readouterr().err.count("error: ") == 2
+
+
+def test_random_scan_d1_exit_1(tmp_path, capsys):
+    assert main(["random-scan", "--d", "1", "--m", "1", "--count", "1",
+                 "--out", str(tmp_path / "s.csv")]) == 1
+    assert "error: " in capsys.readouterr().err
+
+
+def test_unwritable_output_exit_2(tmp_path, capsys, monkeypatch):
+    bad = str(tmp_path / "no_such_dir" / "out")
+    pa = write_povm(tmp_path, trine(), "a.json")
+    pb = write_povm(tmp_path, kpom(), "b.json")
+    assert main(["tensor", pa, pb, bad]) == 2
+    assert main(["random-scan", "--d", "2", "--m", "3", "--count", "1", "--restarts", "1",
+                 "--out", bad]) == 2
+
+    def fail(*args, **kwargs):
+        raise AssertionError("trine ran its optimizer before opening its output")
+
+    monkeypatch.setattr("naimark_lab.cli.minimize", fail)
+    assert main(["trine", "--out", bad]) == 2
+    assert capsys.readouterr().err.count("error: ") == 3
 
 
 def test_tensor_command(tmp_path):

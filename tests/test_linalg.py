@@ -6,7 +6,6 @@ from naimark_lab import (
     gram_schmidt_complete,
     hermitian_eigensystem,
     partial_trace,
-    unitary_from_skew,
     von_neumann_entropy,
 )
 from conftest import haar_unitary
@@ -33,21 +32,6 @@ def test_gram_schmidt_rejects_nonorthonormal_input():
 def test_gram_schmidt_empty_input_gives_identity_completion():
     out = gram_schmidt_complete(np.zeros((4, 0), dtype=complex))
     assert np.abs(out.conj().T @ out - np.eye(4)).max() < 1e-12
-
-
-def test_unitary_from_skew_is_unitary():
-    rng = np.random.default_rng(11)
-    for n in [1, 3, 6]:
-        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        S = A - A.conj().T
-        V = unitary_from_skew(S)
-        assert np.abs(V.conj().T @ V - np.eye(n)).max() < 1e-12
-    assert np.abs(unitary_from_skew(np.zeros((3, 3))) - np.eye(3)).max() == 0.0
-
-
-def test_unitary_from_skew_rejects_nonskew():
-    with pytest.raises(ValueError):
-        unitary_from_skew(np.eye(2))
 
 
 def test_hermitian_eigensystem_reconstructs_and_sorts():

@@ -5,17 +5,18 @@ from naimark_lab import (
     OptimizerConfig,
     Povm,
     canonical_distribution,
+    construct_completion,
     construct_default,
     extension_cost,
     minimize,
     minimize_over_e,
     normalized_cost,
-    objective,
     random_haar,
     trine,
     validate_extension,
 )
-from conftest import TRINE_EXACT, haar_unitary, kpom
+from naimark_lab.optimize import _cost_and_grad, _search_space
+from conftest import TRINE_EXACT, haar_unitary, kpom, qubit_sic, split_one, two_basis_mixture
 
 
 FAST = OptimizerConfig(restarts=4, max_iters=2000, seed=0)
@@ -23,24 +24,54 @@ FAST = OptimizerConfig(restarts=4, max_iters=2000, seed=0)
 
 def test_objective_at_zero_matches_default_completion():
     T = trine()
-    c0 = objective(T, 2, np.zeros(4))
-    N = construct_default(T, 2)
-    assert abs(c0 - extension_cost(N, canonical_distribution(T)).total) < 1e-12
+    c0 = extension_cost(construct_default(T, 2), canonical_distribution(T)).total
     rep = minimize(T, 2, OptimizerConfig(restarts=1, max_iters=1))
-    # restart 0 starts at zeros, so even a one-iteration run cannot exceed c0
+    # restart 0 starts at the default completion, so even a one-iteration run cannot exceed c0
     assert rep.history[0] <= c0 + 1e-12
-
-
-def test_objective_rejects_wrong_length():
-    with pytest.raises(ValueError):
-        objective(trine(), 2, np.zeros(5))
 
 
 def test_objective_zero_for_von_neumann_any_params():
     P = Povm(haar_unitary(2, np.random.default_rng(3)))
     rng = np.random.default_rng(9)
     for _ in range(5):
-        assert objective(P, 2, rng.standard_normal(4)) < 1e-10
+        N = construct_completion(P, 2, haar_unitary(2, rng))
+        assert extension_cost(N, canonical_distribution(P)).total < 1e-10
+    # m = d leaves no completion freedom in the firing rows: one evaluation
+    rep = minimize(P, 2, FAST)
+    assert rep.best_cost < 1e-10
+    assert rep.restarts_run == 1 and len(rep.history) == 1
+
+
+def test_cost_and_grad_matches_central_differences():
+    P = random_haar(3, 5, seed=7)
+    e = 3
+    B, Q0 = _search_space(P, e)
+    args = (P.matrix, B, canonical_distribution(P), P.d, e)
+    x = np.random.default_rng(1).standard_normal(2 * Q0.size)
+    g = _cost_and_grad(x, *args)[1]
+    assert g.shape == x.shape
+    h = 1e-6
+    for i in range(x.size):
+        step = np.zeros_like(x)
+        step[i] = h
+        fd = (_cost_and_grad(x + step, *args)[0] - _cost_and_grad(x - step, *args)[0]) / (2 * h)
+        assert abs(fd - g[i]) < 1e-7, (i, fd, g[i])
+
+
+def test_minimize_reaches_zero_on_split_mixtures():
+    # zero-cost splits whose product realization needs e = 4
+    for s in range(500, 504):
+        Q = split_one(two_basis_mixture(s), s)
+        rep = minimize(Q, 4, OptimizerConfig(restarts=4))
+        assert rep.best_cost <= 1e-3, (s, rep.best_cost)
+
+
+def test_minimize_cost_does_not_rise_with_e():
+    # a larger ancilla embeds every smaller extension
+    cases = [(qubit_sic(), range(2, 6), 2), (random_haar(2, 4, seed=2050), (3, 4), 4)]
+    for P, es, restarts in cases:
+        costs = [minimize(P, e, OptimizerConfig(restarts=restarts)).best_cost for e in es]
+        assert all(b <= a + 1e-9 for a, b in zip(costs, costs[1:])), costs
 
 
 def test_minimize_trine_reaches_exact_cost():
@@ -110,13 +141,6 @@ def test_minimize_over_e_range_validation():
         minimize_over_e(T, 3, 2)
 
 
-def test_finite_diff_method_override():
-    cfg = OptimizerConfig(restarts=2, max_iters=1500, method="finite_diff_gradient_descent")
-    rep = minimize(trine(), 2, cfg)
-    assert rep.best_cost <= TRINE_EXACT + 1e-6
-    assert rep.converged
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(restarts=0)
@@ -124,8 +148,6 @@ def test_config_validation():
         OptimizerConfig(max_iters=0)
     with pytest.raises(ValueError):
         OptimizerConfig(objective_tol=0.0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(method="annealing")
 
 
 def test_normalized_cost():
