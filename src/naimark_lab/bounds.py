@@ -15,7 +15,7 @@ import numpy as np
 
 from .linalg import binary_entropy
 from .povm import ZERO_NORM_SQ, Povm, merge_parallel
-from .naimark import _prop5_predicted
+from .naimark import _check_zeta, _prop5_predicted
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ def bound_prop5(P: Povm, zeta: np.ndarray) -> float:
     with a = 1 - 2 r_mu^2. An upper bound on the minimal cost for any unit
     zeta; zeta parallel to an element kills that element's term.
     """
-    return _prop5_predicted(P, zeta)
+    return float(_prop5_predicted(P, _check_zeta(P, zeta)[None])[0])
 
 
 def best_bound(P: Povm, zeta_samples: int = 16, seed: int = 0) -> BoundReport:
@@ -63,30 +63,28 @@ def best_bound(P: Povm, zeta_samples: int = 16, seed: int = 0) -> BoundReport:
     zeta_samples Haar-random unit vectors (seeded); ties keep the earliest
     candidate in evaluation order.
     """
-    candidates: list[tuple[str, float]] = [
-        ("element_count", bound_element_count(P)),
-        ("dimension", bound_dimension(P.d)),
-    ]
     norms2 = np.einsum("ij,ij->i", P.matrix.conj(), P.matrix).real
-    for mu in range(P.m):
-        if norms2[mu] < ZERO_NORM_SQ:
-            continue
-        zeta = P.matrix[mu] / np.sqrt(norms2[mu])
-        candidates.append((f"zeta=element_{mu + 1}", bound_prop5(P, zeta)))
-    rng = np.random.default_rng(seed)
-    for t in range(zeta_samples):
-        z = rng.standard_normal(P.d) + 1j * rng.standard_normal(P.d)
-        z /= np.linalg.norm(z)
-        candidates.append((f"zeta=sample_{t + 1}", bound_prop5(P, z)))
-    witness, value = min(candidates, key=lambda c: c[1])
-    # min() already keeps the earliest on exact ties
-    zeta_best = min(v for name, v in candidates if name.startswith("zeta="))
+    live = np.flatnonzero(norms2 >= ZERO_NORM_SQ)
+    # sample t draws its d real parts, then its d imaginary parts
+    z = np.random.default_rng(seed).standard_normal((zeta_samples, 2, P.d))
+    samples = z[:, 0] + 1j * z[:, 1]
+    samples /= np.linalg.norm(samples, axis=1, keepdims=True)
+    zetas = np.concatenate([P.matrix[live] / np.sqrt(norms2[live])[:, None], samples])
+    names = (
+        ["element_count", "dimension"]
+        + [f"zeta=element_{mu + 1}" for mu in live]
+        + [f"zeta=sample_{t + 1}" for t in range(zeta_samples)]
+    )
+    values = np.concatenate(
+        [[bound_element_count(P), bound_dimension(P.d)], _prop5_predicted(P, zetas)]
+    )
+    best = int(np.argmin(values))  # argmin keeps the earliest on exact ties
     return BoundReport(
-        value=value,
-        witness=witness,
-        bound_element_count=candidates[0][1],
-        bound_dimension=candidates[1][1],
-        bound_zeta_best=zeta_best,
+        value=float(values[best]),
+        witness=names[best],
+        bound_element_count=float(values[0]),
+        bound_dimension=float(values[1]),
+        bound_zeta_best=float(values[2:].min()),
     )
 
 
@@ -94,17 +92,12 @@ def _necessary_margins(P: Povm, tol: float) -> np.ndarray:
     """Min eigenvalue of [|k_mu><k_mu| + sum of orthogonal partners] - r_mu^2 I."""
     M = P.matrix
     norms = np.linalg.norm(M, axis=1)
-    margins = np.empty(P.m)
-    for mu in range(P.m):
-        lhs = np.outer(M[mu], M[mu].conj())
-        for nu in range(P.m):
-            if nu == mu:
-                continue
-            if abs(np.vdot(M[mu], M[nu])) <= tol * norms[mu] * norms[nu]:
-                lhs = lhs + np.outer(M[nu], M[nu].conj())
-        lhs -= norms[mu] ** 2 * np.eye(P.d)
-        margins[mu] = np.linalg.eigvalsh(lhs).min()
-    return margins
+    # partners[mu, nu]: nu is mu itself or orthogonal to it
+    partners = np.abs(M.conj() @ M.T) <= tol * np.outer(norms, norms)
+    np.fill_diagonal(partners, True)
+    lhs = np.einsum("un,na,nb->uab", partners.astype(float), M, M.conj())
+    lhs -= (norms**2)[:, None, None] * np.eye(P.d)
+    return np.linalg.eigvalsh(lhs).min(axis=1)
 
 
 def zero_cost_necessary(P: Povm, tol: float = 1e-9) -> ZeroCostCertificate:
@@ -163,13 +156,9 @@ def zero_cost_decide_d2(P: Povm, tol: float = 1e-9) -> ZeroCostCertificate:
     margins = _necessary_margins(merged, tol)
     M = merged.matrix
     norms2 = np.einsum("ij,ij->i", M.conj(), M).real
-    m = merged.m
-    compat = np.zeros((m, m), dtype=bool)
-    for i in range(m):
-        for j in range(i + 1, m):
-            orth = abs(np.vdot(M[i], M[j])) / np.sqrt(norms2[i] * norms2[j]) <= tol
-            equal = abs(norms2[i] - norms2[j]) <= tol
-            compat[i, j] = compat[j, i] = orth and equal
+    orth = np.abs(M.conj() @ M.T) / np.sqrt(np.outer(norms2, norms2)) <= tol
+    compat = orth & (np.abs(norms2[:, None] - norms2) <= tol)
+    np.fill_diagonal(compat, False)
     pairing = _find_pairing(compat)
     if pairing is not None:
         return ZeroCostCertificate(

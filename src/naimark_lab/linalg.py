@@ -21,10 +21,10 @@ _SPAN_TOL = 1e-8
 def gram_schmidt_complete(cols: ComplexMatrix, tol: float = 1e-10) -> ComplexMatrix:
     """Complete k orthonormal columns to a full n x n unitary.
 
-    Uses modified Gram-Schmidt against the standard basis vectors taken in
-    index order, skipping candidates whose residual norm falls below 1e-8,
-    and re-orthogonalizing each accepted vector once (twice is enough).
-    The first k output columns are the input columns, bit for bit.
+    Appends the standard basis vectors in index order by block Gram-Schmidt
+    (see orthonormal_extend): candidates whose residual norm falls below
+    1e-8 are skipped. The first k output columns are the input columns,
+    bit for bit.
 
     Parameters
     ----------
@@ -44,30 +44,39 @@ def gram_schmidt_complete(cols: ComplexMatrix, tol: float = 1e-10) -> ComplexMat
     gram = cols.conj().T @ cols
     if k > 0 and np.abs(gram - np.eye(k)).max() > tol:
         raise ValueError("input columns are not orthonormal within tol")
+    out = orthonormal_extend(cols, np.eye(n, dtype=complex))
+    if out.shape[1] != n:
+        # cannot happen for orthonormal input; guards degenerate callers
+        raise ValueError("failed to complete the basis")
+    return out
 
-    basis = list(cols.T)  # row view of accepted columns
-    for j in range(n):
-        if len(basis) == n:
+
+def orthonormal_extend(cols: ComplexMatrix, candidates: ComplexMatrix) -> ComplexMatrix:
+    """Extend orthonormal columns by the candidate columns, taken in order.
+
+    Each candidate is projected off the accepted block in one matrix-vector
+    step (classical Gram-Schmidt) and projected once more after normalizing
+    (twice is enough); a candidate whose first residual norm falls below
+    1e-8 is already spanned and skipped. Stops once the columns span the
+    space. The first k output columns are cols, bit for bit.
+    """
+    n, k = cols.shape
+    out = np.empty((n, n), dtype=complex)
+    out[:, :k] = cols
+    r = k
+    for c in candidates.T:
+        if r == n:
             break
-        c = np.zeros(n, dtype=complex)
-        c[j] = 1.0
-        for b in basis:
-            c = c - b * (b.conj() @ c)
+        B = out[:, :r]
+        c = c - B @ (B.conj().T @ c)
         nrm = np.linalg.norm(c)
         if nrm < _SPAN_TOL:
             continue
         c = c / nrm
-        # one re-orthogonalization pass
-        for b in basis:
-            c = c - b * (b.conj() @ c)
-        c = c / np.linalg.norm(c)
-        basis.append(c)
-    if len(basis) != n:
-        # cannot happen for orthonormal input; guards degenerate callers
-        raise ValueError("failed to complete the basis")
-    out = np.array(basis).T
-    out[:, :k] = cols
-    return out
+        c = c - B @ (B.conj().T @ c)
+        out[:, r] = c / np.linalg.norm(c)
+        r += 1
+    return out[:, :r]
 
 
 def hermitian_eigensystem(H: ComplexMatrix, tol: float = 1e-10):
@@ -85,12 +94,9 @@ def hermitian_eigensystem(H: ComplexMatrix, tol: float = 1e-10):
     order = np.argsort(-w, kind="stable")
     w = w[order]
     V = V[:, order]
-    for j in range(V.shape[1]):
-        col = V[:, j]
-        idx = int(np.argmax(np.abs(col)))
-        pivot = col[idx]
-        if np.abs(pivot) > 0:
-            V[:, j] = col * (np.abs(pivot) / pivot)
+    # columns are unit vectors, so each pivot is nonzero
+    pivot = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
+    V = V * (np.abs(pivot) / pivot)
     # deterministic order inside exactly-degenerate blocks
     j = 0
     n = len(w)
@@ -134,14 +140,26 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return float(-(nz * np.log2(nz)).sum()) + 0.0  # squash -0.0
 
 
-def binary_entropy(x: float) -> float:
-    """H(x) = -x log2 x - (1-x) log2(1-x); accepts 1e-12 slack outside [0,1]."""
-    if x < -1e-12 or x > 1 + 1e-12:
-        raise ValueError(f"binary_entropy argument {x} outside [0, 1]")
-    x = min(max(x, 0.0), 1.0)
-    s = 0.0
-    if x > 0:
-        s -= x * np.log2(x)
-    if x < 1:
-        s -= (1 - x) * np.log2(1 - x)
-    return float(s)
+def _domain_error(name: str, x: np.ndarray, bad: np.ndarray, domain: str) -> ValueError:
+    """ValueError naming the first flagged value of x, with its index for an array."""
+    if x.ndim == 0:
+        return ValueError(f"{name} argument {x} {domain}")
+    idx = tuple(int(i) for i in np.argwhere(bad)[0])
+    where = idx[0] if x.ndim == 1 else idx
+    return ValueError(f"{name} argument {x[idx]} at index {where} {domain}")
+
+
+def binary_entropy(x: float | np.ndarray) -> float | np.ndarray:
+    """H(x) = -x log2 x - (1-x) log2(1-x); accepts 1e-12 slack outside [0,1].
+
+    Works elementwise on arrays; a scalar argument gives a float.
+    """
+    x = np.asarray(x, dtype=float)
+    bad = (x < -1e-12) | (x > 1 + 1e-12)
+    if bad.any():
+        raise _domain_error("binary_entropy", x, bad, "outside [0, 1]")
+    x = np.clip(x, 0.0, 1.0)
+    y = 1 - x
+    # 0 log 0 = 0: log2 sees 1 wherever its factor vanishes
+    s = 0.0 - x * np.log2(np.where(x > 0, x, 1)) - y * np.log2(np.where(y > 0, y, 1))
+    return float(s) if s.ndim == 0 else s

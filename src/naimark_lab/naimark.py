@@ -20,7 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import binary_entropy, gram_schmidt_complete, hermitian_eigensystem
+from .linalg import (
+    binary_entropy,
+    gram_schmidt_complete,
+    hermitian_eigensystem,
+    orthonormal_extend,
+)
 from .povm import ZERO_NORM_SQ, OutcomeDistribution, Povm
 
 # forgiving orthonormality gate for internal completions; POVM validity at
@@ -187,22 +192,16 @@ def _check_zeta(P: Povm, zeta: np.ndarray) -> np.ndarray:
     return zeta
 
 
-def _prop5_predicted(P: Povm, zeta: np.ndarray) -> float:
-    """Closed-form cost of the one-extra-direction extension on zeta."""
-    zeta = _check_zeta(P, zeta)
-    M = P.matrix
-    d = P.d
-    norms2 = np.einsum("ij,ij->i", M.conj(), M).real
-    predicted = 0.0
-    for mu in range(P.m):
-        r2 = norms2[mu]
-        if r2 < ZERO_NORM_SQ:
-            continue
-        t = abs(np.vdot(zeta, M[mu] / np.sqrt(r2))) ** 2
-        alpha = 1 - 2 * r2
-        arg = alpha**2 + (1 - alpha**2) * t
-        predicted += (r2 / d) * binary_entropy(0.5 - 0.5 * np.sqrt(arg))
-    return float(predicted)
+def _prop5_predicted(P: Povm, zetas: np.ndarray) -> np.ndarray:
+    """Closed-form cost of the one-extra-direction extension on each unit row of zetas (K, d)."""
+    norms2 = np.einsum("ij,ij->i", P.matrix.conj(), P.matrix).real
+    live = norms2 >= ZERO_NORM_SQ
+    r2 = norms2[live]
+    directions = P.matrix[live] / np.sqrt(r2)[:, None]
+    t = np.abs(np.vecdot(zetas[:, None], directions)) ** 2  # (K, m): |<zeta|k_mu_hat>|^2
+    alpha = 1 - 2 * r2
+    arg = alpha**2 + (1 - alpha**2) * t
+    return ((r2 / P.d) * binary_entropy(0.5 - 0.5 * np.sqrt(arg))).sum(axis=1)
 
 
 def prop5_extension(P: Povm, zeta: np.ndarray) -> tuple[NaimarkExtension, float]:
@@ -231,7 +230,7 @@ def prop5_extension(P: Povm, zeta: np.ndarray) -> tuple[NaimarkExtension, float]
     for i in range(X.shape[0]):
         W[:, (i + 1) * d : (i + 2) * d] = np.outer(X[i], zeta)
     basis = _complete_rows(W)
-    return NaimarkExtension(d=d, e=e, m=m, basis=basis), _prop5_predicted(P, zeta)
+    return NaimarkExtension(d=d, e=e, m=m, basis=basis), float(_prop5_predicted(P, zeta[None])[0])
 
 
 def rotate_ancilla(N: NaimarkExtension, R: np.ndarray) -> NaimarkExtension:
@@ -248,9 +247,7 @@ def rotate_ancilla(N: NaimarkExtension, R: np.ndarray) -> NaimarkExtension:
     if np.abs(R.conj().T @ R - np.eye(N.e)).max() > 1e-10:
         raise ValueError("R is not unitary within 1e-10")
     de = N.d * N.e
-    rows = np.empty((de, de), dtype=complex)
-    for nu in range(de):
-        rows[nu] = (R @ N.basis[nu].reshape(N.e, N.d)).ravel()
+    rows = (R @ N.basis.reshape(de, N.e, N.d)).reshape(de, de)
     return NaimarkExtension(d=N.d, e=N.e, m=N.m, basis=rows)
 
 
@@ -263,27 +260,12 @@ def compress_ancilla(N: NaimarkExtension) -> NaimarkExtension:
     fixed) and truncating preserves every per-outcome entanglement.
     """
     d, e, m = N.d, N.e, N.m
-    candidates = [np.eye(e, dtype=complex)[:, 0]]
-    for nu in range(m):
-        A = N.basis[nu].reshape(e, d)
-        candidates.extend(A[:, j] for j in range(d))
-    span: list[np.ndarray] = []
-    for c in candidates:
-        v = c.astype(complex)
-        for b in span:
-            v = v - b * (b.conj() @ v)
-        nrm = np.linalg.norm(v)
-        if nrm < 1e-8:
-            continue
-        v = v / nrm
-        for b in span:
-            v = v - b * (b.conj() @ v)
-        span.append(v / np.linalg.norm(v))
-    Q = np.array(span).T  # (e, r), column 0 = ancilla vector 0
-    r = Q.shape[1]
-    e_new = r
-    W = np.empty((m, d * e_new), dtype=complex)
-    for nu in range(m):
-        A = N.basis[nu].reshape(e, d)
-        W[nu] = (Q.conj().T @ A).ravel()
+    A = N.basis[:m].reshape(m, e, d)
+    # ancilla vector 0 first, then the columns of A_1, ..., A_m in order
+    candidates = np.concatenate(
+        [np.eye(e, 1, dtype=complex), A.transpose(1, 0, 2).reshape(e, m * d)], axis=1
+    )
+    Q = orthonormal_extend(np.empty((e, 0), dtype=complex), candidates)  # (e, r)
+    e_new = Q.shape[1]
+    W = (Q.conj().T @ A).reshape(m, d * e_new)
     return NaimarkExtension(d=d, e=e_new, m=m, basis=_complete_rows(W))

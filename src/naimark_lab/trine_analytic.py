@@ -12,23 +12,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import binary_entropy
+from .linalg import _domain_error, binary_entropy
 
 _TWO_THIRDS_PI = 2 * np.pi / 3
 
 
-def f_curve(z: float) -> float:
-    """f(z) = H(1/2 + sqrt(4z + 5)/6); needs 4z + 5 >= 0, i.e. z >= -1.25."""
-    if 4 * z + 5 < 0:
-        raise ValueError(f"f_curve argument {z} below -1.25")
-    return binary_entropy(0.5 + np.sqrt(4 * z + 5) / 6)
+def f_curve(z: float | np.ndarray) -> float | np.ndarray:
+    """f(z) = H(1/2 + sqrt(4z + 5)/6); needs 4z + 5 >= 0, i.e. z >= -1.25.
+
+    Works elementwise on arrays; a scalar argument gives a float.
+    """
+    z = np.asarray(z, dtype=float)
+    arg = 4 * z + 5
+    bad = arg < 0
+    if bad.any():
+        raise _domain_error("f_curve", z, bad, "below -1.25")
+    return binary_entropy(0.5 + np.sqrt(arg) / 6)
 
 
-def trine_E_theta(theta: float) -> float:
+def trine_E_theta(theta: float | np.ndarray) -> float | np.ndarray:
     """Cost of the symmetric trine realization at placement angle theta.
 
     E(theta) = (1/3) sum_{k=-1,0,1} f(cos(theta + 2k pi/3)); even in theta
-    and periodic with period 2 pi/3.
+    and periodic with period 2 pi/3. Broadcasts over an array of angles.
     """
     return (
         f_curve(np.cos(theta - _TWO_THIRDS_PI))
@@ -51,8 +57,7 @@ class TrineCurve:
 def trine_curve(grid_points: int) -> TrineCurve:
     """Sample E(theta) at grid_points + 1 evenly spaced thetas on [0, pi/3]."""
     thetas = np.linspace(0.0, np.pi / 3, grid_points + 1)
-    values = np.array([trine_E_theta(t) for t in thetas])
-    return TrineCurve(thetas=thetas, values=values)
+    return TrineCurve(thetas=thetas, values=trine_E_theta(thetas))
 
 
 @dataclass(frozen=True)
@@ -72,10 +77,8 @@ def derivative_sign_scan(grid_points: int) -> DerivativeScan:
         raise ValueError("need at least 100 grid points")
     thetas = np.linspace(0.0, np.pi / 3, grid_points)
     h = thetas[1] - thetas[0]
-    values = np.array([trine_E_theta(t) for t in thetas])
-    deriv = np.array(
-        [(trine_E_theta(t + h) - trine_E_theta(t - h)) / (2 * h) for t in thetas]
-    )
+    values = trine_E_theta(thetas)
+    deriv = (trine_E_theta(thetas + h) - trine_E_theta(thetas - h)) / (2 * h)
     return DerivativeScan(
         monotone=bool(deriv.min() >= -1e-9),
         min_at=float(thetas[int(np.argmin(values))]),
@@ -97,20 +100,18 @@ def concavity_check(samples: int) -> ConcavityReport:
     """
     if samples < 100:
         raise ValueError("need at least 100 samples")
-    xs = np.linspace(0.0, 1.0, samples)
-    g = np.array([binary_entropy((1 - np.sqrt(x)) / 2) for x in xs])
-    zs = np.linspace(-1.0, 1.0, samples)
-    f = np.array([f_curve(z) for z in zs])
+    g = binary_entropy((1 - np.sqrt(np.linspace(0.0, 1.0, samples))) / 2)
+    f = f_curve(np.linspace(-1.0, 1.0, samples))
     worst = max(np.diff(g, 2).max(), np.diff(f, 2).max())
     return ConcavityReport(is_concave=bool(worst <= 1e-10), worst_violation=float(worst))
 
 
-def mixed_ancilla_E(p: float, theta: float) -> float:
+def mixed_ancilla_E(p: float | np.ndarray, theta: float | np.ndarray) -> float | np.ndarray:
     """Cost surface when the fixed ancilla state is mixed with weight p.
 
     The reduced outcome states become (2/3)|b_mu><b_mu| + (p/3)|0><0|
     + ((1-p)/6) I, with Bloch length sqrt(4 + p^2 + 4 p cos(.))/3; p = 1
-    recovers trine_E_theta.
+    recovers trine_E_theta. p and theta broadcast against each other.
     """
     total = 0.0
     for k in (-1, 0, 1):
@@ -129,8 +130,6 @@ class MixingScan:
 def mixing_reduction_scan(p_points: int = 21, theta_points: int = 61) -> MixingScan:
     """Coarse (p, theta) scan confirming no mixed-ancilla point beats p = 1."""
     thetas = np.linspace(0.0, np.pi / 3, theta_points)
-    pure = min(trine_E_theta(t) for t in thetas)
-    scan = min(
-        mixed_ancilla_E(p, t) for p in np.linspace(0.0, 1.0, p_points) for t in thetas
-    )
+    pure = trine_E_theta(thetas).min()
+    scan = mixed_ancilla_E(np.linspace(0.0, 1.0, p_points)[:, None], thetas).min()
     return MixingScan(pure_min=pure, scan_min=scan, gap=scan - pure)

@@ -156,6 +156,17 @@ def test_rotate_ancilla_preserves_cost():
     assert abs(c0 - c1) < 1e-10
 
 
+def test_rotate_ancilla_matches_per_row_loop():
+    P, N = random_extension(2, 4, 3, seed=33)
+    cases = [(N, haar_unitary(3, np.random.default_rng(17)))]
+    cases.append((construct_default(kpom(), 2), np.array([[1, 1], [1, -1]]) / np.sqrt(2)))
+    cases.append((prop5_extension(trine(), np.array([1.0, 0.0]))[0], haar_unitary(4, np.random.default_rng(3))))
+    for N, R in cases:
+        de = N.d * N.e
+        loop = np.array([(R @ N.basis[nu].reshape(N.e, N.d)).ravel() for nu in range(de)])
+        assert np.abs(rotate_ancilla(N, R).basis - loop).max() <= 1e-15
+
+
 def test_kpom_product_extension_via_hadamard_rotation():
     # canonical zero-cost extension rows are |k_nu>(|0> +- |1>); a Hadamard
     # on the ancilla turns them into computational product-basis vectors

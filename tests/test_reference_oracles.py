@@ -1,0 +1,132 @@
+"""Vectorized routines against per-element loop references.
+
+Each reference is the straightforward loop the library computes in one
+array step; they must agree to a tolerance set by the float64 rounding of
+the changed summation order.
+"""
+
+import numpy as np
+import pytest
+
+from naimark_lab import (
+    Povm,
+    best_bound,
+    bound_dimension,
+    bound_element_count,
+    bound_prop5,
+    gram_schmidt_complete,
+    random_haar,
+    trine,
+)
+from naimark_lab.bounds import _necessary_margins
+from naimark_lab.povm import ZERO_NORM_SQ
+from conftest import haar_unitary, kpom, n_d3, qubit_sic
+
+
+def mgs_complete(cols):
+    """Modified Gram-Schmidt completion against the standard basis in index order."""
+    n, k = cols.shape
+    basis = list(cols.T)
+    for j in range(n):
+        if len(basis) == n:
+            break
+        c = np.zeros(n, dtype=complex)
+        c[j] = 1.0
+        for b in basis:
+            c = c - b * (b.conj() @ c)
+        nrm = np.linalg.norm(c)
+        if nrm < 1e-8:
+            continue
+        c = c / nrm
+        for b in basis:
+            c = c - b * (b.conj() @ c)
+        basis.append(c / np.linalg.norm(c))
+    out = np.array(basis).T
+    out[:, :k] = cols
+    return out
+
+
+def padded(P, e):
+    cols = np.zeros((P.d * e, P.d), dtype=complex)
+    cols[: P.m] = P.matrix
+    return cols
+
+
+def gs_inputs():
+    rng = np.random.default_rng(8)
+    named = [(Povm(np.eye(2, dtype=complex)), "von Neumann d=2"), (Povm(np.eye(3, dtype=complex)), "von Neumann d=3")]
+    named += [(Povm(haar_unitary(3, rng)), "Haar basis d=3"), (trine(), "trine"), (kpom(), "kpom")]
+    named += [(random_haar(d, m, s), f"haar d={d} m={m}") for d, m, s in [(2, 3, 1), (2, 4, 2), (3, 5, 3)]]
+    return [pytest.param(padded(P, e), id=f"{name} e={e}".replace(" ", "_")) for P, name in named for e in (2, 3, 6) if P.d * e >= P.m]
+
+
+@pytest.mark.parametrize("cols", gs_inputs())
+def test_gram_schmidt_complete_matches_modified_gram_schmidt(cols):
+    out = gram_schmidt_complete(cols)
+    assert out.shape == (cols.shape[0],) * 2
+    assert np.array_equal(out[:, : cols.shape[1]], cols)
+    assert np.abs(out - mgs_complete(cols)).max() <= 1e-14
+
+
+def test_gram_schmidt_skip_path_is_exact_on_von_neumann():
+    # e_0 and e_1 lie in the span of the input and are skipped; the
+    # completion is then e_2, e_3, ... in index order, exactly
+    cols = padded(Povm(np.eye(2, dtype=complex)), 3)
+    assert np.array_equal(gram_schmidt_complete(cols), np.eye(6))
+    assert np.array_equal(mgs_complete(cols), np.eye(6))
+
+
+def best_bound_loop(P, zeta_samples=16, seed=0):
+    """best_bound as one bound_prop5 call per candidate, with the per-sample draws."""
+    candidates = [("element_count", bound_element_count(P)), ("dimension", bound_dimension(P.d))]
+    norms2 = np.einsum("ij,ij->i", P.matrix.conj(), P.matrix).real
+    for mu in range(P.m):
+        if norms2[mu] >= ZERO_NORM_SQ:
+            zeta = P.matrix[mu] / np.sqrt(norms2[mu])
+            candidates.append((f"zeta=element_{mu + 1}", bound_prop5(P, zeta)))
+    rng = np.random.default_rng(seed)
+    for t in range(zeta_samples):
+        z = rng.standard_normal(P.d) + 1j * rng.standard_normal(P.d)
+        candidates.append((f"zeta=sample_{t + 1}", bound_prop5(P, z / np.linalg.norm(z))))
+    witness, value = min(candidates, key=lambda c: c[1])
+    return witness, value, min(v for name, v in candidates if name.startswith("zeta="))
+
+
+def bound_inputs():
+    rng = np.random.default_rng(1)
+    out = [trine(), kpom(), qubit_sic(), n_d3(), Povm(np.eye(3, dtype=complex))]
+    for d, m in ((2, 3), (2, 4), (3, 4), (3, 5)):
+        out += [random_haar(d, m, int(rng.integers(2**32))) for _ in range(10)]
+    return out
+
+
+def test_best_bound_matches_per_candidate_loop():
+    for i, P in enumerate(bound_inputs()):
+        for seed in (0, 5):
+            rep = best_bound(P, seed=seed)
+            witness, value, zeta_best = best_bound_loop(P, seed=seed)
+            assert rep.witness == witness, i
+            assert abs(rep.value - value) <= 1e-15, i
+            assert abs(rep.bound_zeta_best - zeta_best) <= 1e-15, i
+
+
+def margins_loop(P, tol=1e-9):
+    """Min eigenvalue of |k_mu><k_mu| + sum of orthogonal partners - r_mu^2 I, one mu at a time."""
+    M = P.matrix
+    norms = np.linalg.norm(M, axis=1)
+    margins = np.empty(P.m)
+    for mu in range(P.m):
+        lhs = np.outer(M[mu], M[mu].conj())
+        for nu in range(P.m):
+            if nu != mu and abs(np.vdot(M[mu], M[nu])) <= tol * norms[mu] * norms[nu]:
+                lhs = lhs + np.outer(M[nu], M[nu].conj())
+        margins[mu] = np.linalg.eigvalsh(lhs - norms[mu] ** 2 * np.eye(P.d)).min()
+    return margins
+
+
+def test_necessary_margins_match_per_element_loop():
+    povms = [trine(), kpom(), n_d3()] + [random_haar(3, m, s) for m, s in [(3, 1), (4, 2), (5, 3), (7, 4), (9, 5)]]
+    for P in povms:
+        got = _necessary_margins(P, 1e-9)
+        assert got.shape == (P.m,)
+        assert np.abs(got - margins_loop(P)).max() <= 1e-14
