@@ -10,13 +10,7 @@ bounds, certifies zero-cost POVMs, and treats the trine measurement
 analytically.
 """
 
-from .linalg import (
-    binary_entropy,
-    gram_schmidt_complete,
-    hermitian_eigensystem,
-    partial_trace,
-    von_neumann_entropy,
-)
+from .linalg import binary_entropy, gram_schmidt_complete
 from .povm import (
     Ensemble,
     Povm,
@@ -26,7 +20,6 @@ from .povm import (
     merge_parallel,
     mutual_information,
     post_process,
-    posterior_distribution,
     random_haar,
     refine_to_rank1,
     tensor,
@@ -113,7 +106,6 @@ __all__ = [
     "extension_cost",
     "f_curve",
     "gram_schmidt_complete",
-    "hermitian_eigensystem",
     "marginal_povms",
     "merge_parallel",
     "minimize",
@@ -122,9 +114,7 @@ __all__ = [
     "mixing_reduction_scan",
     "mutual_information",
     "normalized_cost",
-    "partial_trace",
     "post_process",
-    "posterior_distribution",
     "prop5_extension",
     "random_haar",
     "refine_to_rank1",
@@ -137,7 +127,6 @@ __all__ = [
     "trine_source",
     "validate",
     "validate_extension",
-    "von_neumann_entropy",
     "zero_cost_decide_d2",
     "zero_cost_necessary",
 ]

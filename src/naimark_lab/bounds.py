@@ -17,6 +17,12 @@ from .linalg import binary_entropy
 from .povm import ZERO_NORM_SQ, Povm, merge_parallel
 from .naimark import _check_zeta, _prop5_predicted
 
+# Haar-random probe vectors tried by best_bound
+_ZETA_SAMPLES = 16
+# best_bound candidates this close to the minimum tie with it; candidates
+# equal in exact arithmetic round apart by up to ~5e-15
+_TIE_TOL = 1e-14
+
 
 @dataclass(frozen=True)
 class ZeroCostCertificate:
@@ -56,31 +62,33 @@ def bound_prop5(P: Povm, zeta: np.ndarray) -> float:
     return float(_prop5_predicted(P, _check_zeta(P, zeta)[None])[0])
 
 
-def best_bound(P: Povm, zeta_samples: int = 16, seed: int = 0) -> BoundReport:
+def best_bound(P: Povm, seed: int = 0) -> BoundReport:
     """Smallest available upper bound with the name of its achiever.
 
     Probes the one-extra-direction bound at every element direction and at
-    zeta_samples Haar-random unit vectors (seeded); ties keep the earliest
-    candidate in evaluation order.
+    16 Haar-random unit vectors (seeded). The witness is the earliest
+    candidate in evaluation order within 1e-14 of the minimum, so exact
+    ties resolve by order and not by rounding; value is the minimum.
     """
     norms2 = np.einsum("ij,ij->i", P.matrix.conj(), P.matrix).real
     live = np.flatnonzero(norms2 >= ZERO_NORM_SQ)
     # sample t draws its d real parts, then its d imaginary parts
-    z = np.random.default_rng(seed).standard_normal((zeta_samples, 2, P.d))
+    z = np.random.default_rng(seed).standard_normal((_ZETA_SAMPLES, 2, P.d))
     samples = z[:, 0] + 1j * z[:, 1]
     samples /= np.linalg.norm(samples, axis=1, keepdims=True)
     zetas = np.concatenate([P.matrix[live] / np.sqrt(norms2[live])[:, None], samples])
     names = (
         ["element_count", "dimension"]
         + [f"zeta=element_{mu + 1}" for mu in live]
-        + [f"zeta=sample_{t + 1}" for t in range(zeta_samples)]
+        + [f"zeta=sample_{t + 1}" for t in range(_ZETA_SAMPLES)]
     )
     values = np.concatenate(
         [[bound_element_count(P), bound_dimension(P.d)], _prop5_predicted(P, zetas)]
     )
-    best = int(np.argmin(values))  # argmin keeps the earliest on exact ties
+    low = values.min()
+    best = int(np.flatnonzero(values <= low + _TIE_TOL)[0])
     return BoundReport(
-        value=float(values[best]),
+        value=float(low),
         witness=names[best],
         bound_element_count=float(values[0]),
         bound_dimension=float(values[1]),

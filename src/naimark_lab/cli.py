@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .bounds import best_bound, bound_dimension, zero_cost_decide_d2, zero_cost_necessary
+from .bounds import best_bound, zero_cost_decide_d2, zero_cost_necessary
 from .optimize import CostReport, OptimizerConfig, minimize, minimize_over_e, normalized_cost
 from .povm import Povm, merge_parallel, random_haar, tensor, trine, validate
 from .trine_analytic import derivative_sign_scan, trine_cost_exact, trine_curve
@@ -70,11 +70,20 @@ def _default_seed(flag_value: int | None) -> int:
     return int(os.environ.get(SEED_ENV_VAR, "0"))
 
 
-def _require_d2_plus(P: Povm, what: str) -> bool:
-    if P.d >= 2:
-        return True
-    print(f"error: {what} requires a POVM with d >= 2 (got d = {P.d})", file=sys.stderr)
-    return False
+def _load_checked(path: str, tol: float) -> Povm | None:
+    """Load a POVM that must have d >= 2 and validate at tol; None after an error message."""
+    P = load_povm(path)
+    if P.d < 2:
+        print(f"error: this command requires a POVM with d >= 2 (got d = {P.d})", file=sys.stderr)
+        return None
+    report = validate(P, tol=tol)
+    if not report.ok:
+        print(
+            f"error: input POVM fails validation (residual {report.max_residual:.3e})",
+            file=sys.stderr,
+        )
+        return None
+    return P
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -90,22 +99,14 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_cost(args: argparse.Namespace) -> int:
-    P = load_povm(args.path)
-    if not _require_d2_plus(P, "cost"):
+    P = _load_checked(args.path, args.tol)
+    if P is None:
         return 1
-    vrep = validate(P, tol=args.tol)
-    if not vrep.ok:
-        print(
-            f"error: input POVM fails validation (residual {vrep.max_residual:.3e})",
-            file=sys.stderr,
-        )
-        return 1
+    # --e alone is the one-point sweep E..E
+    e_max = args.e if args.e_max is None else args.e_max
     try:
         cfg = OptimizerConfig(restarts=args.restarts, seed=_default_seed(args.seed))
-        if args.e is not None and args.e_max is None:
-            report = minimize(P, args.e, cfg)
-        else:
-            report = minimize_over_e(P, args.e, args.e_max, cfg)
+        report = minimize_over_e(P, args.e, e_max, cfg)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -140,8 +141,8 @@ def _cost_json(P: Povm, report: CostReport, bound_value: float, bound_witness: s
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    P = load_povm(args.path)
-    if not _require_d2_plus(P, "bounds"):
+    P = _load_checked(args.path, 1e-9)
+    if P is None:
         return 1
     bb = best_bound(P, seed=_default_seed(None))
     print(f"element-count bound 1 - 1/m:        {bb.bound_element_count:.6f}")
@@ -152,19 +153,19 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_zero_cert(args: argparse.Namespace) -> int:
-    P = load_povm(args.path)
-    if not _require_d2_plus(P, "zero-cert"):
+    P = _load_checked(args.path, args.tol)
+    if P is None:
         return 1
     note = None
     if P.d == 2:
-        merged = merge_parallel(P, args.tol)
-        if merged.m != P.m:
-            note = f"margins refer to the POVM after merging parallel elements (m = {merged.m})"
         try:
             cert = zero_cost_decide_d2(P, tol=args.tol)
         except ValueError as exc:
             note = f"{exc}; reporting the necessary condition only"
-            cert = zero_cost_necessary(merged, tol=args.tol)
+            cert = zero_cost_necessary(merge_parallel(P, args.tol), tol=args.tol)
+        merged_m = len(cert.per_element_margins)
+        if note is None and merged_m != P.m:
+            note = f"margins refer to the POVM after merging parallel elements (m = {merged_m})"
     else:
         cert = zero_cost_necessary(P, tol=args.tol)
     if note:
@@ -225,8 +226,6 @@ def cmd_random_scan(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    bound_m = 1 - 1 / args.m
-    bound_d = bound_dimension(args.d)
     # best_bound's one-extra-direction witness needs e >= m + 1; below that
     # the element-count and dimension caps are the bounds to hold the cost to
     use_best = args.e >= args.m + 1
@@ -241,6 +240,7 @@ def cmd_random_scan(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         bb = best_bound(P, seed=seed + i)
+        bound_m, bound_d = bb.bound_element_count, bb.bound_dimension
         rows.append((i, report.best_cost, bound_m, bound_d, bb.value))
         cap = bb.value if use_best else min(bound_m, bound_d)
         excesses.append(report.best_cost - cap)
@@ -294,7 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cost", help="minimize entanglement cost over extensions")
     p.add_argument("path")
-    p.add_argument("--e", type=int, default=None, help="ancilla dimension (fixed)")
+    p.add_argument(
+        "--e", type=int, default=None, help="smallest ancilla dimension; alone, the only one"
+    )
     p.add_argument(
         "--e-max", dest="e_max", type=int, default=None, help="sweep ancilla dimension up to this"
     )

@@ -1,18 +1,15 @@
 """Dense complex linear algebra primitives.
 
-Orthonormal completion, Hermitian eigendecomposition with canonical phases,
-partial trace over a bipartite cut, and the two entropies everything
-downstream is measured in. All functions are pure and all entropies are
-base 2 (ebits / bits).
+Orthonormal completion and the base-2 binary entropy of the closed-form
+bounds. All functions are pure. The entanglement entropies of extension
+rows come from one batched kernel, naimark._row_entropies.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-ComplexVector = np.ndarray
 ComplexMatrix = np.ndarray
-DensityMatrix = np.ndarray
 
 # Residual below which a candidate basis vector is considered already spanned.
 _SPAN_TOL = 1e-8
@@ -77,67 +74,6 @@ def orthonormal_extend(cols: ComplexMatrix, candidates: ComplexMatrix) -> Comple
         out[:, r] = c / np.linalg.norm(c)
         r += 1
     return out[:, :r]
-
-
-def hermitian_eigensystem(H: ComplexMatrix, tol: float = 1e-10):
-    """Eigendecompose a Hermitian matrix with reproducible output.
-
-    Returns (eigenvalues, eigenvectors) with eigenvalues sorted descending
-    and each eigenvector column phased so its largest-magnitude entry is
-    real positive. Bit-equal eigenvalues are ordered by the canonicalized
-    eigenvector components so the output is deterministic.
-    """
-    H = np.asarray(H, dtype=complex)
-    if np.abs(H - H.conj().T).max() > tol:
-        raise ValueError("matrix is not Hermitian within tol")
-    w, V = np.linalg.eigh(H)
-    order = np.argsort(-w, kind="stable")
-    w = w[order]
-    V = V[:, order]
-    # columns are unit vectors, so each pivot is nonzero
-    pivot = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
-    V = V * (np.abs(pivot) / pivot)
-    # deterministic order inside exactly-degenerate blocks
-    j = 0
-    n = len(w)
-    while j < n:
-        j2 = j
-        while j2 + 1 < n and w[j2 + 1] == w[j]:
-            j2 += 1
-        if j2 > j:
-            block = sorted(
-                range(j, j2 + 1),
-                key=lambda c: tuple(np.stack([V[:, c].real, V[:, c].imag], -1).ravel()),
-            )
-            V[:, j : j2 + 1] = V[:, block]
-        j = j2 + 1
-    return w, V
-
-
-def partial_trace(state: ComplexVector, d: int, e: int, keep: str) -> DensityMatrix:
-    """Reduced density matrix of a pure state on system (dim d) x ancilla (dim e).
-
-    The component ordering is lexicographic in the product basis with the
-    ancilla index outermost: entry i*d + j multiplies |system j>|ancilla i>,
-    so the first d entries are the block attached to ancilla state 0.
-    """
-    state = np.asarray(state, dtype=complex).ravel()
-    if state.size != d * e:
-        raise ValueError(f"state length {state.size} != d*e = {d * e}")
-    A = state.reshape(e, d)
-    if keep == "system":
-        return A.T @ A.conj()
-    if keep == "ancilla":
-        return A @ A.conj().T
-    raise ValueError("keep must be 'system' or 'ancilla'")
-
-
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """S(rho) = -sum lam log2 lam in bits, eigenvalues clamped to [0, 1]."""
-    lam = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
-    lam = np.clip(lam.real, 0.0, 1.0)
-    nz = lam[lam > 0]
-    return float(-(nz * np.log2(nz)).sum()) + 0.0  # squash -0.0
 
 
 def _domain_error(name: str, x: np.ndarray, bad: np.ndarray, domain: str) -> ValueError:

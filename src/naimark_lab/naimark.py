@@ -20,12 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    binary_entropy,
-    gram_schmidt_complete,
-    hermitian_eigensystem,
-    orthonormal_extend,
-)
+from .linalg import binary_entropy, gram_schmidt_complete, orthonormal_extend
 from .povm import ZERO_NORM_SQ, OutcomeDistribution, Povm
 
 # forgiving orthonormality gate for internal completions; POVM validity at
@@ -34,23 +29,24 @@ _COMPLETE_TOL = 1e-7
 # Floor inside the logarithm of the row entropies: keeps log2 finite on
 # product rows, where the gradient still vanishes since sqrt(lam) log(lam) -> 0.
 _LOG_FLOOR = 1e-300
+# validate_extension's bound on both residuals
+_EXTENSION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class NaimarkExtension:
+    """Extension in the canonical frame: the ancilla is prepared in basis state 0."""
+
     d: int
     e: int
     m: int
     basis: np.ndarray  # (de, de), row nu = |w_nu>
-    ancilla_state_index: int = 0
 
     def __post_init__(self):
         b = np.asarray(self.basis, dtype=complex)
         de = self.d * self.e
         if b.shape != (de, de):
             raise ValueError(f"basis must be {de} x {de}")
-        if self.ancilla_state_index != 0:
-            raise ValueError("canonical frame requires ancilla state index 0")
         object.__setattr__(self, "basis", b)
 
 
@@ -106,8 +102,8 @@ def _apply_completion(L: np.ndarray, d: int, V: np.ndarray) -> np.ndarray:
     return out
 
 
-def validate_extension(N: NaimarkExtension, P: Povm, tol: float = 1e-9) -> ExtensionReport:
-    """Check unitarity and the canonical form against P.
+def validate_extension(N: NaimarkExtension, P: Povm) -> ExtensionReport:
+    """Check unitarity and the canonical form against P, both within 1e-9.
 
     Block 0 of row nu must match k_nu up to a global phase for nu <= m and
     vanish for nu > m; the reported form residual is the worst row.
@@ -128,7 +124,8 @@ def validate_extension(N: NaimarkExtension, P: Povm, tol: float = 1e-9) -> Exten
             form = max(form, float(np.linalg.norm(v0 - phase * k)))
         else:
             form = max(form, float(np.linalg.norm(v0)))
-    return ExtensionReport(ok=unit <= tol and form <= tol, unitarity_residual=unit, form_residual=form)
+    ok = unit <= _EXTENSION_TOL and form <= _EXTENSION_TOL
+    return ExtensionReport(ok=ok, unitarity_residual=unit, form_residual=form)
 
 
 def _row_entropies(rows: np.ndarray, d: int, e: int, grad: bool = False):
@@ -219,9 +216,10 @@ def prop5_extension(P: Povm, zeta: np.ndarray) -> tuple[NaimarkExtension, float]
     de = d * e
 
     # Gram target: <xi_a|xi_b> = delta_ab - <k_a|k_b>; conjugation puts the
-    # POVM Gram into position, since (M M^dag)[a,b] = <k_b|k_a>.
+    # POVM Gram into position, since (M M^dag)[a,b] = <k_b|k_a>. Any factor
+    # X^dag X = K serves: row nu's entropy sees X only through ||xi_nu||.
     K = np.eye(m) - np.conj(M @ M.conj().T)
-    lam, V = hermitian_eigensystem(K)
+    lam, V = np.linalg.eigh(K)
     keep = lam >= 1e-12
     X = (np.sqrt(lam[keep])[:, None]) * V[:, keep].conj().T  # (r, m), col nu = xi_nu
 

@@ -28,22 +28,21 @@ from .naimark import (
 )
 from .povm import Povm, canonical_distribution
 
-# L-BFGS-B stops once every gradient component is below this.
+# L-BFGS-B stops once every gradient component is below this,
 _GRAD_TOL = 1e-9
+# or once an iteration lowers the cost by less than this relative amount.
+_OBJECTIVE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     restarts: int = 20
     max_iters: int = 2000  # L-BFGS-B iterations per restart
-    objective_tol: float = 1e-10  # L-BFGS-B relative decrease per iteration
     seed: int = 0
 
     def __post_init__(self):
         if self.restarts < 1 or self.max_iters < 1:
             raise ValueError("counts must be positive")
-        if self.objective_tol <= 0:
-            raise ValueError("objective_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -113,7 +112,7 @@ def minimize(P: Povm, e: int, cfg: OptimizerConfig = OptimizerConfig()) -> CostR
                 _cost_and_grad,
                 np.concatenate([Z0.real.ravel(), Z0.imag.ravel()]),
                 args=args,
-                factr=cfg.objective_tol / np.finfo(float).eps,
+                factr=_OBJECTIVE_TOL / np.finfo(float).eps,
                 pgtol=_GRAD_TOL,
                 maxiter=cfg.max_iters,
             )

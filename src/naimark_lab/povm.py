@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import hermitian_eigensystem
-
 OutcomeDistribution = np.ndarray
 
 # squared norm below which an element carries no weight at all
@@ -98,14 +96,6 @@ def validate(P: Povm, tol: float = 1e-9) -> ValidationReport:
 def canonical_distribution(P: Povm) -> OutcomeDistribution:
     """Outcome distribution on a maximally mixed source: q_mu = <k_mu|k_mu>/d."""
     return np.einsum("ij,ij->i", P.matrix.conj(), P.matrix).real / P.d
-
-
-def posterior_distribution(P: Povm, E: Ensemble) -> OutcomeDistribution:
-    """p(nu) = sum_i p_i |<psi_i|k_nu>|^2."""
-    if E.d != P.d:
-        raise ValueError("ensemble and POVM dimensions differ")
-    amp = E.states.conj() @ P.matrix.T  # (n, m) of <psi_i|k_nu>
-    return (E.probs[:, None] * np.abs(amp) ** 2).sum(axis=0)
 
 
 def mutual_information(P: Povm, E: Ensemble) -> float:
@@ -222,8 +212,9 @@ def tensor(P: Povm, Q: Povm) -> Povm:
 def refine_to_rank1(effects: list[np.ndarray]) -> Povm:
     """Split PSD effects summing to I into rank-1 pieces sqrt(lam) |v>.
 
-    Eigen-branches below 1e-12 are dropped. Branch order: effects in input
-    order, eigenvalues descending within each effect.
+    Each effect must be Hermitian within 1e-10. Eigen-branches below 1e-12
+    are dropped. Branch order: effects in input order, eigenvalues
+    descending within each effect.
     """
     effects = [np.asarray(a, dtype=complex) for a in effects]
     d = effects[0].shape[0]
@@ -232,7 +223,10 @@ def refine_to_rank1(effects: list[np.ndarray]) -> Povm:
         raise ValueError("effects do not sum to the identity")
     rows = []
     for a in effects:
-        lam, V = hermitian_eigensystem(a)
+        if np.abs(a - a.conj().T).max() > 1e-10:
+            raise ValueError("effect is not Hermitian within 1e-10")
+        lam, V = np.linalg.eigh(a)
+        lam, V = lam[::-1], V[:, ::-1]
         if lam.min() < -1e-10:
             raise ValueError("effect is not positive semidefinite")
         for l, v in zip(lam, V.T):

@@ -1,4 +1,8 @@
-"""Shared constructions for the test suite."""
+"""Shared constructions for the test suite, and the entropy oracle.
+
+partial_trace and von_neumann_entropy compute a row's entanglement one
+row at a time, independently of the library's batched row-entropy kernel.
+"""
 
 import os
 
@@ -15,6 +19,32 @@ from naimark_lab import Povm, convex_combine, post_process
 TRINE_EXACT = 0.49600503416600095  # (2/3) H((1 - 1/sqrt(3))/2)
 E_AT_PI_3 = 0.5218506219142366  # (2 f(1/2) + f(-1)) / 3
 LOG2_3_MINUS_1 = 0.5849625007211562
+
+
+def partial_trace(state: np.ndarray, d: int, e: int, keep: str) -> np.ndarray:
+    """Reduced density matrix of a pure state on system (dim d) x ancilla (dim e).
+
+    The component ordering is lexicographic in the product basis with the
+    ancilla index outermost: entry i*d + j multiplies |system j>|ancilla i>,
+    so the first d entries are the block attached to ancilla state 0.
+    """
+    state = np.asarray(state, dtype=complex).ravel()
+    if state.size != d * e:
+        raise ValueError(f"state length {state.size} != d*e = {d * e}")
+    A = state.reshape(e, d)
+    if keep == "system":
+        return A.T @ A.conj()
+    if keep == "ancilla":
+        return A @ A.conj().T
+    raise ValueError("keep must be 'system' or 'ancilla'")
+
+
+def von_neumann_entropy(rho: np.ndarray) -> float:
+    """S(rho) = -sum lam log2 lam in bits, eigenvalues clamped to [0, 1]."""
+    lam = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
+    lam = np.clip(lam.real, 0.0, 1.0)
+    nz = lam[lam > 0]
+    return float(-(nz * np.log2(nz)).sum()) + 0.0  # squash -0.0
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

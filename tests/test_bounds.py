@@ -48,7 +48,7 @@ def test_bound_prop5_rejects_unnormalized():
 
 
 def test_best_bound_structure():
-    rep = best_bound(trine(), zeta_samples=8, seed=3)
+    rep = best_bound(trine(), seed=3)
     assert rep.bound_element_count == 1 - 1 / 3
     assert abs(rep.bound_dimension - 0.600876) < 1e-6
     assert rep.value == min(rep.bound_element_count, rep.bound_dimension, rep.bound_zeta_best)

@@ -72,6 +72,36 @@ def test_cost_capacity_exit_2(tmp_path):
     assert main(["cost", path, "--e", "2", "--restarts", "1"]) == 2
 
 
+def test_cost_e_alone_is_the_one_point_sweep(tmp_path, capsys):
+    # above m*d = 6 both spellings are rejected; at e = 2 they give the same bits
+    path = write_povm(tmp_path, trine())
+    assert main(["cost", path, "--e", "7", "--restarts", "1"]) == 2
+    assert main(["cost", path, "--e", "7", "--e-max", "7", "--restarts", "1"]) == 2
+    assert capsys.readouterr().err.count("e_max must be <= m*d") == 2
+    docs = []
+    for extra in ([], ["--e-max", "2"]):
+        assert main(["cost", path, "--e", "2", "--restarts", "2", "--json", *extra]) == 0
+        docs.append(json.loads(capsys.readouterr().out))
+    assert docs[0] == docs[1]
+
+
+def test_bounds_and_zero_cert_reject_invalid_povm(tmp_path, capsys):
+    scaled = write_povm(tmp_path, Povm(trine().matrix * 0.9))
+    assert main(["bounds", scaled]) == 1
+    assert main(["zero-cert", scaled]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("fails validation") == 2
+
+
+def test_d1_povm_exit_1(tmp_path, capsys):
+    p1 = tmp_path / "d1.json"
+    p1.write_text(json.dumps({"d": 1, "elements": [[[1.0, 0.0]]]}))
+    for command in ("cost", "bounds", "zero-cert"):
+        assert main([command, str(p1)]) == 1
+    assert capsys.readouterr().err.count("requires a POVM with d >= 2") == 3
+
+
 def test_bounds_output(tmp_path, capsys):
     assert main(["bounds", write_povm(tmp_path, trine())]) == 0
     out = capsys.readouterr().out

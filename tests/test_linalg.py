@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from naimark_lab import (
-    binary_entropy,
-    gram_schmidt_complete,
-    hermitian_eigensystem,
-    partial_trace,
-    von_neumann_entropy,
-)
-from conftest import haar_unitary
+from naimark_lab import binary_entropy, gram_schmidt_complete
+from conftest import haar_unitary, partial_trace, von_neumann_entropy
 
 
 def test_gram_schmidt_preserves_input_columns():
@@ -32,32 +26,6 @@ def test_gram_schmidt_rejects_nonorthonormal_input():
 def test_gram_schmidt_empty_input_gives_identity_completion():
     out = gram_schmidt_complete(np.zeros((4, 0), dtype=complex))
     assert np.abs(out.conj().T @ out - np.eye(4)).max() < 1e-12
-
-
-def test_hermitian_eigensystem_reconstructs_and_sorts():
-    rng = np.random.default_rng(5)
-    for n in [2, 4, 7]:
-        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        H = (A + A.conj().T) / 2
-        lam, V = hermitian_eigensystem(H)
-        assert np.all(np.diff(lam) <= 1e-12)  # descending
-        assert np.abs(V @ np.diag(lam) @ V.conj().T - H).max() < 1e-10
-        assert np.abs(V.conj().T @ V - np.eye(n)).max() < 1e-12
-
-
-def test_hermitian_eigensystem_deterministic_phases():
-    rng = np.random.default_rng(9)
-    A = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    H = (A + A.conj().T) / 2
-    lam1, V1 = hermitian_eigensystem(H)
-    lam2, V2 = hermitian_eigensystem(H.copy())
-    assert np.array_equal(lam1, lam2)
-    assert np.array_equal(V1, V2)
-
-
-def test_hermitian_eigensystem_rejects_nonhermitian():
-    with pytest.raises(ValueError):
-        hermitian_eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_partial_trace_ordering_contract():

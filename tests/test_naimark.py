@@ -17,7 +17,7 @@ from naimark_lab import (
     validate,
     validate_extension,
 )
-from conftest import haar_unitary, kpom
+from conftest import haar_unitary, kpom, partial_trace, von_neumann_entropy
 
 
 def random_extension(d, m, e, seed):
@@ -103,6 +103,28 @@ def test_extension_cost_zero_for_von_neumann():
         P = Povm(haar_unitary(3, np.random.default_rng(5)).conj())
         N = construct_default(P, e)
         assert extension_cost(N, canonical_distribution(P)).total < 1e-12
+
+
+def oracle_entanglements(N):
+    """Entropy of each firing row's reduced system state, one row at a time."""
+    return np.array(
+        [von_neumann_entropy(partial_trace(row, N.d, N.e, "system")) for row in N.basis[: N.m]]
+    )
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("e", [2, 3, 4])
+def test_extension_cost_matches_partial_trace_oracle(d, e):
+    P, N = random_extension(d, d * e - 1, e, seed=10 * d + e)
+    ent = extension_cost(N, canonical_distribution(P)).per_outcome_entanglement
+    assert np.abs(ent - oracle_entanglements(N)).max() <= 1e-12
+
+
+def test_extension_cost_matches_partial_trace_oracle_trine():
+    T = trine()
+    N = construct_completion(T, 2, haar_unitary(2, np.random.default_rng(12)))
+    ent = extension_cost(N, canonical_distribution(T)).per_outcome_entanglement
+    assert np.abs(ent - oracle_entanglements(N)).max() <= 1e-12
 
 
 def test_marginal_povms_all_validate():

@@ -146,8 +146,6 @@ def test_config_validation():
         OptimizerConfig(restarts=0)
     with pytest.raises(ValueError):
         OptimizerConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(objective_tol=0.0)
 
 
 def test_normalized_cost():

@@ -9,7 +9,6 @@ from naimark_lab import (
     merge_parallel,
     mutual_information,
     post_process,
-    posterior_distribution,
     random_haar,
     refine_to_rank1,
     tensor,
@@ -55,12 +54,6 @@ def test_canonical_distribution_trine_uniform():
     q = canonical_distribution(trine())
     assert np.allclose(q, 1 / 3, atol=1e-15)
     assert abs(q.sum() - 1) < 1e-12
-
-
-def test_posterior_equals_canonical_for_uniform_basis_source():
-    T = trine()
-    E = Ensemble(states=np.eye(2, dtype=complex), probs=np.array([0.5, 0.5]))
-    assert np.allclose(posterior_distribution(T, E), canonical_distribution(T), atol=1e-12)
 
 
 def test_mutual_information_trine_oracle():
@@ -165,3 +158,13 @@ def test_refine_to_rank1_splits_higher_rank_effects():
 def test_refine_to_rank1_rejects_incomplete_sets():
     with pytest.raises(ValueError):
         refine_to_rank1([np.eye(2, dtype=complex) * 0.5])
+
+
+def test_refine_to_rank1_rejects_non_hermitian_effects():
+    def effects(skew):
+        bump = np.array([[0, skew], [0, 0]], dtype=complex)
+        return [np.eye(2) * 0.5 + bump, np.eye(2) * 0.5 - bump]
+
+    assert refine_to_rank1(effects(5e-11)).m == 4  # within the 1e-10 check
+    with pytest.raises(ValueError, match="not Hermitian"):
+        refine_to_rank1(effects(0.1))

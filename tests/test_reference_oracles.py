@@ -20,7 +20,7 @@ from naimark_lab import (
 )
 from naimark_lab.bounds import _necessary_margins
 from naimark_lab.povm import ZERO_NORM_SQ
-from conftest import haar_unitary, kpom, n_d3, qubit_sic
+from conftest import haar_unitary, kpom, n_d3, qubit_sic, two_basis_mixture
 
 
 def mgs_complete(cols):
@@ -76,8 +76,12 @@ def test_gram_schmidt_skip_path_is_exact_on_von_neumann():
     assert np.array_equal(mgs_complete(cols), np.eye(6))
 
 
-def best_bound_loop(P, zeta_samples=16, seed=0):
-    """best_bound as one bound_prop5 call per candidate, with the per-sample draws."""
+# best_bound's tie rule: the witness is the earliest candidate within this of the minimum
+TIE_TOL = 1e-14
+
+
+def bound_candidates(P, seed=0):
+    """best_bound's (name, value) candidates, one bound_prop5 call each, with the per-sample draws."""
     candidates = [("element_count", bound_element_count(P)), ("dimension", bound_dimension(P.d))]
     norms2 = np.einsum("ij,ij->i", P.matrix.conj(), P.matrix).real
     for mu in range(P.m):
@@ -85,10 +89,17 @@ def best_bound_loop(P, zeta_samples=16, seed=0):
             zeta = P.matrix[mu] / np.sqrt(norms2[mu])
             candidates.append((f"zeta=element_{mu + 1}", bound_prop5(P, zeta)))
     rng = np.random.default_rng(seed)
-    for t in range(zeta_samples):
+    for t in range(16):
         z = rng.standard_normal(P.d) + 1j * rng.standard_normal(P.d)
         candidates.append((f"zeta=sample_{t + 1}", bound_prop5(P, z / np.linalg.norm(z))))
-    witness, value = min(candidates, key=lambda c: c[1])
+    return candidates
+
+
+def best_bound_loop(P, seed=0):
+    """Witness, value and best zeta bound of best_bound, from the candidate loop."""
+    candidates = bound_candidates(P, seed)
+    value = min(v for _, v in candidates)
+    witness = next(name for name, v in candidates if v <= value + TIE_TOL)
     return witness, value, min(v for name, v in candidates if name.startswith("zeta="))
 
 
@@ -108,6 +119,24 @@ def test_best_bound_matches_per_candidate_loop():
             assert rep.witness == witness, i
             assert abs(rep.value - value) <= 1e-15, i
             assert abs(rep.bound_zeta_best - zeta_best) <= 1e-15, i
+
+
+def test_best_bound_witness_is_earliest_tied_candidate():
+    # two elements of one basis give bounds equal in exact arithmetic that
+    # round apart; the witness must be the earlier one, whatever the rounding
+    tied = 0
+    for seed in range(400):
+        P = two_basis_mixture(seed)
+        rep = best_bound(P)
+        names, values = zip(*bound_candidates(P))
+        values = np.array(values)
+        low = values.min()
+        k = names.index(rep.witness)
+        assert not (values[:k] <= low + TIE_TOL).any(), seed
+        assert values[k] <= low + TIE_TOL, seed
+        assert abs(rep.value - low) <= 1e-15, seed
+        tied += int((values <= low + TIE_TOL).sum() > 1)
+    assert tied >= 350, tied  # 379 of these seeds carry a tie
 
 
 def margins_loop(P, tol=1e-9):
