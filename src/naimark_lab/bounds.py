@@ -3,8 +3,9 @@
 Upper bounds: 1 - 1/m from the element count, H((1 - 1/sqrt(d))/2) from the
 dimension, and the one-extra-direction family swept over probe vectors zeta.
 Zero-cost side: the operator-inequality necessary condition for general d,
-and the complete d = 2 decision (merge parallel elements, then look for a
-perfect pairing into orthogonal equal-weight partners).
+and the complete d = 2 decision: after parallel elements merge, each has
+at most one orthogonal equal-weight partner, and the cost is zero exactly
+when every element has one.
 """
 
 from __future__ import annotations
@@ -96,15 +97,18 @@ def best_bound(P: Povm, seed: int = 0) -> BoundReport:
     )
 
 
-def _necessary_margins(P: Povm, tol: float) -> np.ndarray:
-    """Min eigenvalue of [|k_mu><k_mu| + sum of orthogonal partners] - r_mu^2 I."""
-    M = P.matrix
+def _orthogonal(M: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Row norms, and orth[mu, nu]: |<k_mu|k_nu>| <= tol ||k_mu|| ||k_nu||."""
     norms = np.linalg.norm(M, axis=1)
-    # partners[mu, nu]: nu is mu itself or orthogonal to it
-    partners = np.abs(M.conj() @ M.T) <= tol * np.outer(norms, norms)
-    np.fill_diagonal(partners, True)
-    lhs = np.einsum("un,na,nb->uab", partners.astype(float), M, M.conj())
-    lhs -= (norms**2)[:, None, None] * np.eye(P.d)
+    return norms, np.abs(M.conj() @ M.T) <= tol * np.outer(norms, norms)
+
+
+def _necessary_margins(M: np.ndarray, norms: np.ndarray, orth: np.ndarray) -> np.ndarray:
+    """Min eigenvalue of [|k_mu><k_mu| + sum of orthogonal partners] - r_mu^2 I."""
+    partners = orth.astype(float)
+    np.fill_diagonal(partners, 1.0)
+    lhs = np.einsum("un,na,nb->uab", partners, M, M.conj())
+    lhs -= (norms**2)[:, None, None] * np.eye(M.shape[1])
     return np.linalg.eigvalsh(lhs).min(axis=1)
 
 
@@ -116,61 +120,35 @@ def zero_cost_necessary(P: Povm, tol: float = 1e-9) -> ZeroCostCertificate:
     A margin below -tol proves nonzero cost; otherwise the certificate is
     inconclusive (the condition is necessary, never sufficient).
     """
-    margins = _necessary_margins(P, tol)
+    margins = _necessary_margins(P.matrix, *_orthogonal(P.matrix, tol))
     decision = "nonzero" if margins.min() < -tol else "inconclusive"
     return ZeroCostCertificate(decision=decision, per_element_margins=margins)
 
 
-def _find_pairing(compat: np.ndarray) -> list[tuple[int, int]] | None:
-    """Exact perfect matching by backtracking, lowest indices first."""
-    m = compat.shape[0]
-    if m % 2:
-        return None
-    used = [False] * m
-    pairs: list[tuple[int, int]] = []
-
-    def rec() -> bool:
-        try:
-            i = used.index(False)
-        except ValueError:
-            return True
-        used[i] = True
-        for j in range(i + 1, m):
-            if not used[j] and compat[i, j]:
-                used[j] = True
-                pairs.append((i, j))
-                if rec():
-                    return True
-                pairs.pop()
-                used[j] = False
-        used[i] = False
-        return False
-
-    return pairs if rec() else None
-
-
 def zero_cost_decide_d2(P: Povm, tol: float = 1e-9) -> ZeroCostCertificate:
-    """Complete zero-cost decision for qubit POVMs.
+    """Complete zero-cost decision for qubit POVMs, for 0 <= tol < 1/2.
 
-    After merging parallel elements, the POVM has zero cost exactly when
-    its elements admit a perfect pairing into orthogonal partners of equal
-    squared norm. Margins and pairing indices refer to the merged POVM.
+    After merging parallel elements, each element has at most one partner:
+    an orthogonal element of equal squared norm. The POVM has zero cost
+    exactly when every element has one; the pairs, lowest index first, are
+    the pairing. Margins and pairing indices refer to the merged POVM.
     """
     if P.d != 2:
         raise ValueError("this decision procedure is specific to d = 2")
-    merged = merge_parallel(P, tol)
-    if merged.m > 20:
-        raise ValueError("brute-force pairing is capped at 20 merged elements")
-    margins = _necessary_margins(merged, tol)
-    M = merged.matrix
-    norms2 = np.einsum("ij,ij->i", M.conj(), M).real
-    orth = np.abs(M.conj() @ M.T) / np.sqrt(np.outer(norms2, norms2)) <= tol
-    compat = orth & (np.abs(norms2[:, None] - norms2) <= tol)
-    np.fill_diagonal(compat, False)
-    pairing = _find_pairing(compat)
-    if pairing is not None:
+    if not 0 <= tol < 0.5:
+        raise ValueError(f"the d = 2 decision needs 0 <= tol < 1/2, got {tol}")
+    M = merge_parallel(P, tol).matrix
+    norms, orth = _orthogonal(M, tol)
+    margins = _necessary_margins(M, norms, orth)
+    w = np.einsum("ij,ij->i", M.conj(), M).real
+    # unique partners: qubit directions both orthogonal to a third overlap >= 1 - 2tol^2 > 1 - tol
+    rows = (orth & (np.abs(w[:, None] - w) <= tol)).tolist()
+    m = len(rows)
+    # the upper triangle decides: rounding can leave the mask asymmetric
+    pairs = [(i, j) for i, row in enumerate(rows) for j in range(i + 1, m) if row[j]]
+    if sorted(k for pair in pairs for k in pair) == list(range(m)):
         return ZeroCostCertificate(
-            decision="zero", per_element_margins=margins, pairing=pairing
+            decision="zero", per_element_margins=margins, pairing=pairs
         )
     return ZeroCostCertificate(decision="nonzero", per_element_margins=margins)
 

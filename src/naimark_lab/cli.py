@@ -18,7 +18,7 @@ import numpy as np
 
 from .bounds import best_bound, zero_cost_decide_d2, zero_cost_necessary
 from .optimize import CostReport, OptimizerConfig, minimize, minimize_over_e, normalized_cost
-from .povm import Povm, merge_parallel, random_haar, tensor, trine, validate
+from .povm import Povm, random_haar, tensor, trine, validate
 from .trine_analytic import derivative_sign_scan, trine_cost_exact, trine_curve
 
 SEED_ENV_VAR = "NAIMARK_LAB_SEED"
@@ -156,20 +156,17 @@ def cmd_zero_cert(args: argparse.Namespace) -> int:
     P = _load_checked(args.path, args.tol)
     if P is None:
         return 1
-    note = None
     if P.d == 2:
         try:
             cert = zero_cost_decide_d2(P, tol=args.tol)
         except ValueError as exc:
-            note = f"{exc}; reporting the necessary condition only"
-            cert = zero_cost_necessary(merge_parallel(P, args.tol), tol=args.tol)
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         merged_m = len(cert.per_element_margins)
-        if note is None and merged_m != P.m:
-            note = f"margins refer to the POVM after merging parallel elements (m = {merged_m})"
+        if merged_m != P.m:
+            print(f"note: margins refer to the POVM after merging parallel elements (m = {merged_m})")
     else:
         cert = zero_cost_necessary(P, tol=args.tol)
-    if note:
-        print(f"note: {note}")
     for mu, g in enumerate(cert.per_element_margins, start=1):
         print(f"margin mu = {mu}: {g:+.6f}")
     print(f"decision: {cert.decision.upper()}")

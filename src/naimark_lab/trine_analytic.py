@@ -34,13 +34,10 @@ def trine_E_theta(theta: float | np.ndarray) -> float | np.ndarray:
     """Cost of the symmetric trine realization at placement angle theta.
 
     E(theta) = (1/3) sum_{k=-1,0,1} f(cos(theta + 2k pi/3)); even in theta
-    and periodic with period 2 pi/3. Broadcasts over an array of angles.
+    and periodic with period 2 pi/3. Broadcasts over an array of angles; it
+    is mixed_ancilla_E at p = 1.
     """
-    return (
-        f_curve(np.cos(theta - _TWO_THIRDS_PI))
-        + f_curve(np.cos(theta))
-        + f_curve(np.cos(theta + _TWO_THIRDS_PI))
-    ) / 3
+    return mixed_ancilla_E(1.0, theta)
 
 
 def trine_cost_exact() -> float:

@@ -1,4 +1,4 @@
-"""Shared constructions for the test suite, and the entropy oracle.
+"""Shared constructions for the test suite, the entropy oracle and the pairing check.
 
 partial_trace and von_neumann_entropy compute a row's entanglement one
 row at a time, independently of the library's batched row-entropy kernel.
@@ -13,7 +13,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np
 
-from naimark_lab import Povm, convex_combine, post_process
+from naimark_lab import Povm, convex_combine, merge_parallel, post_process
 
 # frozen reference values, computed independently of the library
 TRINE_EXACT = 0.49600503416600095  # (2/3) H((1 - 1/sqrt(3))/2)
@@ -130,3 +130,18 @@ def qubit_sic() -> Povm:
         [1 / np.sqrt(3), np.sqrt(2 / 3) * np.exp(2j * np.pi * k / 3)] for k in range(3)
     ]
     return Povm(np.array(rows, dtype=complex) / np.sqrt(2))
+
+
+def pairing_is_valid(P: Povm, cert) -> bool:
+    """The certificate pairs every merged element with an orthogonal equal-weight partner."""
+    M = merge_parallel(P).matrix
+    if cert.pairing is None:
+        return False
+    if sorted(i for pair in cert.pairing for i in pair) != list(range(M.shape[0])):
+        return False
+    for i, j in cert.pairing:
+        if abs(np.vdot(M[i], M[j])) > 1e-9:
+            return False
+        if abs(np.vdot(M[i], M[i]).real - np.vdot(M[j], M[j]).real) > 1e-9:
+            return False
+    return True

@@ -25,7 +25,6 @@ from naimark_lab import (
     derivative_sign_scan,
     extension_cost,
     marginal_povms,
-    merge_parallel,
     minimize,
     mutual_information,
     prop5_extension,
@@ -46,6 +45,7 @@ from conftest import (
     haar_unitary,
     kpom,
     n_d3,
+    pairing_is_valid,
     split_one,
     two_basis_mixture,
 )
@@ -66,20 +66,6 @@ def cost_with_escalation(P: Povm, e: int, cfg: OptimizerConfig, target: float) -
         seed=cfg.seed,
     )
     return min(c, minimize(P, e, big).best_cost)
-
-
-def pairing_is_valid(P: Povm, cert) -> bool:
-    M = merge_parallel(P).matrix
-    if cert.pairing is None:
-        return False
-    if sorted(i for pair in cert.pairing for i in pair) != list(range(M.shape[0])):
-        return False
-    for i, j in cert.pairing:
-        if abs(np.vdot(M[i], M[j])) > 1e-9:
-            return False
-        if abs(np.vdot(M[i], M[i]).real - np.vdot(M[j], M[j]).real) > 1e-9:
-            return False
-    return True
 
 
 def test_criterion_01_trine_exact_value():

@@ -17,7 +17,7 @@ from naimark_lab import (
     zero_cost_decide_d2,
     zero_cost_necessary,
 )
-from conftest import kpom, n_d3, two_basis_mixture
+from conftest import haar_unitary, kpom, n_d3, pairing_is_valid, two_basis_mixture
 
 
 def test_bound_element_count():
@@ -114,9 +114,21 @@ def test_decide_d2_rejects_other_dimensions():
         zero_cost_decide_d2(n_d3())
 
 
-def test_decide_d2_merged_size_cap():
-    with pytest.raises(ValueError):
-        zero_cost_decide_d2(random_haar(2, 22, 0))
+def test_decide_d2_large_haar_nonzero():
+    assert zero_cost_decide_d2(random_haar(2, 22, 0)).decision == "nonzero"
+
+
+def test_decide_d2_thirty_element_mixture_zero():
+    rng = np.random.default_rng(15)
+    P = Povm(np.vstack([haar_unitary(2, rng) for _ in range(15)]) / np.sqrt(15))
+    cert = zero_cost_decide_d2(P)
+    assert P.m == 30 and cert.decision == "zero" and pairing_is_valid(P, cert)
+
+
+def test_decide_d2_rejects_tolerance_outside_zero_to_half():
+    for tol in (0.5, 0.6, -1e-3):
+        with pytest.raises(ValueError):
+            zero_cost_decide_d2(kpom(), tol=tol)
 
 
 def test_decide_d2_margins_refer_to_merged_povm():

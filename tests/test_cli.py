@@ -5,7 +5,7 @@ import pytest
 
 from naimark_lab import Povm, random_haar, trine, validate
 from naimark_lab.cli import SEED_ENV_VAR, load_povm, main, save_povm
-from conftest import TRINE_EXACT, kpom
+from conftest import TRINE_EXACT, kpom, qubit_sic
 
 
 def write_povm(tmp_path, P, name="p.json"):
@@ -125,6 +125,16 @@ def test_zero_cert_kpom_pairing(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "decision: ZERO" in out
     assert "pairing: (1,2), (3,4)" in out
+
+
+def test_zero_cert_bad_tolerance_exit_2(tmp_path, capsys):
+    # 0.49: the SIC validates, but its directions overlap at 1/sqrt(3) and
+    # merge into one element; 0.6: the d = 2 decision needs tol < 1/2
+    path = write_povm(tmp_path, qubit_sic())
+    for tol in ("0.49", "0.6"):
+        assert main(["zero-cert", path, "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "decision" not in captured.out
 
 
 def test_zero_cert_d3_necessary_only(tmp_path, capsys):

@@ -2,7 +2,8 @@
 
 Each reference is the straightforward loop the library computes in one
 array step; they must agree to a tolerance set by the float64 rounding of
-the changed summation order.
+the changed summation order. The d = 2 zero-cost decision is checked
+against a backtracking perfect-matching search, which it must equal.
 """
 
 import numpy as np
@@ -15,12 +16,14 @@ from naimark_lab import (
     bound_element_count,
     bound_prop5,
     gram_schmidt_complete,
+    merge_parallel,
     random_haar,
     trine,
+    zero_cost_decide_d2,
 )
-from naimark_lab.bounds import _necessary_margins
+from naimark_lab.bounds import _necessary_margins, _orthogonal
 from naimark_lab.povm import ZERO_NORM_SQ
-from conftest import haar_unitary, kpom, n_d3, qubit_sic, two_basis_mixture
+from conftest import haar_unitary, kpom, n_d3, pairing_is_valid, qubit_sic, two_basis_mixture
 
 
 def mgs_complete(cols):
@@ -156,6 +159,85 @@ def margins_loop(P, tol=1e-9):
 def test_necessary_margins_match_per_element_loop():
     povms = [trine(), kpom(), n_d3()] + [random_haar(3, m, s) for m, s in [(3, 1), (4, 2), (5, 3), (7, 4), (9, 5)]]
     for P in povms:
-        got = _necessary_margins(P, 1e-9)
+        got = _necessary_margins(P.matrix, *_orthogonal(P.matrix, 1e-9))
         assert got.shape == (P.m,)
         assert np.abs(got - margins_loop(P)).max() <= 1e-14
+
+
+def _find_pairing(compat: np.ndarray) -> list[tuple[int, int]] | None:
+    """Exact perfect matching by backtracking, lowest indices first."""
+    m = compat.shape[0]
+    if m % 2:
+        return None
+    used = [False] * m
+    pairs: list[tuple[int, int]] = []
+
+    def rec() -> bool:
+        try:
+            i = used.index(False)
+        except ValueError:
+            return True
+        used[i] = True
+        for j in range(i + 1, m):
+            if not used[j] and compat[i, j]:
+                used[j] = True
+                pairs.append((i, j))
+                if rec():
+                    return True
+                pairs.pop()
+                used[j] = False
+        used[i] = False
+        return False
+
+    return pairs if rec() else None
+
+
+def decide_d2_matching(P, tol):
+    """Zero-cost decision of the merged POVM by a perfect-matching search over compatible pairs."""
+    M = merge_parallel(P, tol).matrix
+    norms = np.linalg.norm(M, axis=1)
+    w = np.einsum("ij,ij->i", M.conj(), M).real
+    compat = (np.abs(M.conj() @ M.T) <= tol * np.outer(norms, norms)) & (np.abs(w[:, None] - w) <= tol)
+    np.fill_diagonal(compat, False)
+    pairing = _find_pairing(compat)
+    return ("nonzero" if pairing is None else "zero"), pairing
+
+
+def basis_union(rng):
+    """Union of 1-8 Haar qubit bases, some repeated up to a phase, with rows shuffled.
+
+    Weights are equal, unequal per basis (a valid POVM), or unequal per
+    element (equal-weight partners only by chance).
+    """
+    k = int(rng.integers(1, 9))
+    bases = [haar_unitary(2, rng) for _ in range(k)]
+    bases += [bases[int(rng.integers(k))] * np.exp(2j * np.pi * rng.random()) for _ in range(int(rng.integers(3)))]
+    n = len(bases)
+    kind = int(rng.integers(3))
+    if kind == 0:
+        w = np.full((n, 2), 1 / n)
+    elif kind == 1:
+        w = np.repeat(rng.dirichlet(np.ones(n))[:, None], 2, axis=1)
+    else:
+        w = rng.dirichlet(np.ones(n))[:, None] * rng.uniform(0.5, 1.5, (n, 2))
+    rows = np.vstack([np.sqrt(p)[:, None] * U for p, U in zip(w, bases)])
+    return Povm(rows[rng.permutation(2 * n)])
+
+
+@pytest.mark.parametrize("tol", [1e-16, 1e-9, 1e-3])
+def test_decide_d2_matches_matching_search(tol):
+    rng = np.random.default_rng(20)
+    decisions, checked = [], 0
+    for i in range(300):
+        P = basis_union(rng)
+        cert = zero_cost_decide_d2(P, tol)
+        decision, pairing = decide_d2_matching(P, tol)
+        assert (cert.decision, cert.pairing) == (decision, pairing), i
+        decisions.append(decision)
+        # pairing_is_valid checks against the POVM merged at its own 1e-9
+        if pairing is not None and np.array_equal(merge_parallel(P, tol).matrix, merge_parallel(P).matrix):
+            assert pairing_is_valid(P, cert), i
+            checked += 1
+    assert decisions.count("nonzero") >= 100, decisions.count("nonzero")
+    if tol >= 1e-9:  # at 1e-16, below rounding, almost no pair passes the partner test
+        assert checked >= 150, checked
