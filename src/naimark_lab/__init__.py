@@ -43,6 +43,7 @@ from .naimark import (
 from .optimize import (
     CostReport,
     OptimizerConfig,
+    RestartRecord,
     minimize,
     minimize_over_e,
     normalized_cost,
@@ -87,6 +88,7 @@ __all__ = [
     "NaimarkExtension",
     "OptimizerConfig",
     "Povm",
+    "RestartRecord",
     "TrineCurve",
     "ValidationReport",
     "ZeroCostCertificate",

@@ -13,6 +13,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -136,6 +137,7 @@ def _cost_json(P: Povm, report: CostReport, bound_value: float, bound_witness: s
         "weights": [float(x) for x in report.breakdown.weights],
         "restarts_run": report.restarts_run,
         "converged": report.converged,
+        "restarts": [asdict(rec) for rec in report.restarts],
         "best_bound": {"value": bound_value, "witness": bound_witness},
     }
 
@@ -153,6 +155,9 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_zero_cert(args: argparse.Namespace) -> int:
+    if not args.tol >= 0:
+        print(f"error: --tol must be >= 0, got {args.tol}", file=sys.stderr)
+        return 2
     P = _load_checked(args.path, args.tol)
     if P is None:
         return 1

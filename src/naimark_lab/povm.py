@@ -176,6 +176,7 @@ def merge_parallel(P: Povm, tol: float = 1e-9) -> Povm:
     Two elements are parallel when their normalized overlap magnitude is
     >= 1 - tol. Classes merge into their lowest-index member's direction;
     zero-norm elements are dropped (no direction to merge on). Idempotent.
+    Raises ValueError when fewer than d elements are left.
     """
     rows = [P.matrix[i] for i in range(P.m)]
     keep: list[np.ndarray] = []
@@ -201,6 +202,11 @@ def merge_parallel(P: Povm, tol: float = 1e-9) -> Povm:
                 used[j] = True
         used[i] = True
         keep.append(np.sqrt(total / ni) * row)
+    if len(keep) < P.d:
+        raise ValueError(
+            f"merging parallel elements at tol = {tol:g} leaves {len(keep)} element(s), "
+            f"fewer than d = {P.d}"
+        )
     return Povm(np.array(keep))
 
 

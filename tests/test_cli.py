@@ -60,6 +60,12 @@ def test_cost_json_fields(tmp_path, capsys):
     assert abs(sum(doc["weights"]) - 1) < 1e-12
     assert doc["restarts_run"] == 4
     assert set(doc["best_bound"]) == {"value", "witness"}
+    runs = doc["restarts"]
+    assert [run["start"] for run in runs] == ["default", "seed+1", "seed+2", "seed+3"]
+    assert min(run["value"] for run in runs) == pytest.approx(doc["best_cost"], abs=1e-12)
+    for run in runs:
+        assert set(run) == {"start", "value", "grad_norm", "iterations", "evaluations", "stop"}
+        assert run["stop"] in ("grad_tol", "objective_tol", "max_iters", "line_search")
 
 
 def test_cost_rejects_invalid_povm(tmp_path):
@@ -128,13 +134,23 @@ def test_zero_cert_kpom_pairing(tmp_path, capsys):
 
 
 def test_zero_cert_bad_tolerance_exit_2(tmp_path, capsys):
-    # 0.49: the SIC validates, but its directions overlap at 1/sqrt(3) and
-    # merge into one element; 0.6: the d = 2 decision needs tol < 1/2
+    # -1: a tolerance is never negative; 0.49: the SIC validates, but its
+    # directions overlap at 1/sqrt(3) and merge into one element; 0.6: the
+    # d = 2 decision needs tol < 1/2
     path = write_povm(tmp_path, qubit_sic())
-    for tol in ("0.49", "0.6"):
+    messages = {
+        "-1": "--tol must be >= 0, got -1.0",
+        "0.49": "merging parallel elements at tol = 0.49 leaves 1 element(s), fewer than d = 2",
+        "0.6": "needs 0 <= tol < 1/2",
+    }
+    for tol, message in messages.items():
         assert main(["zero-cert", path, "--tol", tol]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: ") and "decision" not in captured.out
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert "decision" not in captured.out
+    # a negative tolerance is rejected before the file is read
+    assert main(["zero-cert", str(tmp_path / "missing.json"), "--tol", "-1"]) == 2
+    assert "--tol must be >= 0" in capsys.readouterr().err
 
 
 def test_zero_cert_d3_necessary_only(tmp_path, capsys):

@@ -15,7 +15,7 @@ from naimark_lab import (
     trine,
     validate_extension,
 )
-from naimark_lab.optimize import _cost_and_grad, _search_space
+from naimark_lab.optimize import _cost_and_grad, _lbfgs, _search, _search_space, _start_points
 from conftest import TRINE_EXACT, haar_unitary, kpom, qubit_sic, split_one, two_basis_mixture
 
 
@@ -47,15 +47,78 @@ def test_cost_and_grad_matches_central_differences():
     e = 3
     B, Q0 = _search_space(P, e)
     args = (P.matrix, B, canonical_distribution(P), P.d, e)
-    x = np.random.default_rng(1).standard_normal(2 * Q0.size)
-    g = _cost_and_grad(x, *args)[1]
-    assert g.shape == x.shape
+    rng = np.random.default_rng(1)
+    Z = rng.standard_normal((3, *Q0.shape)) + 1j * rng.standard_normal((3, *Q0.shape))
+    f, G = _cost_and_grad(Z, *args)
+    assert f.shape == (3,) and G.shape == Z.shape
     h = 1e-6
-    for i in range(x.size):
-        step = np.zeros_like(x)
-        step[i] = h
-        fd = (_cost_and_grad(x + step, *args)[0] - _cost_and_grad(x - step, *args)[0]) / (2 * h)
-        assert abs(fd - g[i]) < 1e-7, (i, fd, g[i])
+    for k in range(len(Z)):
+        for idx in np.ndindex(Q0.shape):
+            for unit, part in ((1, G.real), (1j, G.imag)):
+                step = np.zeros_like(Z)
+                step[k][idx] = h * unit
+                up, down = _cost_and_grad(Z + step, *args)[0], _cost_and_grad(Z - step, *args)[0]
+                fd = (up[k] - down[k]) / (2 * h)
+                assert abs(fd - part[k][idx]) < 1e-7, (k, idx, unit, fd, part[k][idx])
+
+
+@pytest.mark.parametrize("name", ["trine", "kpom", "haar357"])
+def test_start_path_does_not_depend_on_its_stack(name):
+    P, e = {"trine": (trine(), 2), "kpom": (kpom(), 2), "haar357": (random_haar(3, 5, 7), 3)}[name]
+    B, Q0 = _search_space(P, e)
+    args = (P.matrix, B, canonical_distribution(P), P.d, e)
+    starts = _start_points(Q0, OptimizerConfig(restarts=8, seed=3))
+    stacked = _search(*args, starts, 2000)
+    for Z, together in zip(starts, stacked):
+        (alone,) = _search(*args, [Z], 2000)
+        assert np.array_equal(alone[0], together[0])
+        assert alone[1:] == together[1:]
+
+
+def test_restart_records_and_stop_reasons():
+    rep = minimize(trine(), 2, OptimizerConfig(restarts=3, max_iters=1))
+    assert not rep.converged
+    assert [rec.start for rec in rep.restarts] == ["default", "seed+1", "seed+2"]
+    assert rep.history == [rec.value for rec in rep.restarts]
+    assert rep.restarts[0].stop == "grad_tol"  # the trine's default completion is stationary
+    for rec in rep.restarts[1:]:
+        assert rec.stop == "max_iters" and rec.iterations == 1 and rec.evaluations >= 2
+    rep = minimize(trine(), 2, FAST)
+    assert rep.converged
+    assert all(rec.stop in ("grad_tol", "objective_tol") for rec in rep.restarts)
+    best = rep.restarts[rep.history.index(min(rep.history))]
+    assert best.grad_norm < 1e-5 and 0 < best.iterations < best.evaluations
+    # no completion freedom: no search ran, so there are no records
+    assert minimize(Povm(haar_unitary(2, np.random.default_rng(3))), 2, FAST).restarts == ()
+
+
+def drive_lbfgs(fun, x, max_iters=100):
+    """Run one _lbfgs generator on fun(x) -> (f, g) and return its result."""
+    run = _lbfgs(np.asarray(x, dtype=float), max_iters)
+    x = next(run)
+    try:
+        while True:
+            x = run.send(fun(x))
+    except StopIteration as done:
+        return done.value
+
+
+def test_lbfgs_minimizes_an_ill_conditioned_quadratic():
+    scales = np.logspace(0, 3, 8)
+    x, f, grad_norm, iterations, evaluations, stop = drive_lbfgs(
+        lambda x: (float(scales @ x**2), 2 * scales * x), np.ones(8)
+    )
+    assert stop in ("grad_tol", "objective_tol") and f < 1e-9
+    assert iterations < evaluations <= 3 * iterations
+
+
+def test_lbfgs_stops_when_the_line_search_fails():
+    # a gradient of the wrong sign: no step along -g lowers f = |x|^2
+    x, f, grad_norm, iterations, evaluations, stop = drive_lbfgs(
+        lambda x: (float(x @ x), -2 * x), [1.0, -2.0]
+    )
+    assert stop == "line_search" and iterations == 0 and evaluations == 21
+    assert np.array_equal(x, [1.0, -2.0]) and f == 5.0 and grad_norm == 4.0
 
 
 def test_minimize_reaches_zero_on_split_mixtures():
