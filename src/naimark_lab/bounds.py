@@ -20,8 +20,9 @@ from .naimark import _check_zeta, _prop5_predicted
 
 # Haar-random probe vectors tried by best_bound
 _ZETA_SAMPLES = 16
-# best_bound candidates this close to the minimum tie with it; candidates
-# equal in exact arithmetic round apart by up to ~5e-15
+# costs this close to the minimum tie with it (best_bound's candidates,
+# minimize_over_e's ancilla dimensions); costs equal in exact arithmetic
+# round apart by up to ~5e-15
 _TIE_TOL = 1e-14
 
 

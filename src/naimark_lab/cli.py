@@ -3,7 +3,10 @@
 POVM files are JSON: {"d": 2, "elements": [[[re, im], ...], ...]} with m
 rows of d coefficient pairs. Exit codes are stable across subcommands:
 0 success, 1 semantic failure (invalid POVM, nonzero decision under
---assert-zero, d < 2 where forbidden), 2 I/O, parse, or capacity errors.
+--assert-zero, d < 2 where forbidden), 2 I/O, parse, argument or capacity
+errors. Commands raise; `main` alone prints the one `error:` line and
+picks the code: InputRejected is 1, PovmFileError, ValueError and OSError
+are 2.
 """
 
 from __future__ import annotations
@@ -27,6 +30,10 @@ SEED_ENV_VAR = "NAIMARK_LAB_SEED"
 
 class PovmFileError(Exception):
     """Raised when a POVM file cannot be read or does not parse."""
+
+
+class InputRejected(Exception):
+    """Raised for a well-formed input the command refuses: exit code 1."""
 
 
 def load_povm(path: str) -> Povm:
@@ -66,28 +73,36 @@ def save_povm(P: Povm, path: str) -> None:
 
 
 def _default_seed(flag_value: int | None) -> int:
+    """--seed if given, else NAIMARK_LAB_SEED, else 0; never negative."""
     if flag_value is not None:
+        if flag_value < 0:
+            raise ValueError(f"--seed must be >= 0, got {flag_value}")
         return flag_value
-    return int(os.environ.get(SEED_ENV_VAR, "0"))
+    raw = os.environ.get(SEED_ENV_VAR, "0")
+    if not raw.strip().isdecimal():
+        raise ValueError(f"{SEED_ENV_VAR} must be a non-negative integer, got {raw!r}")
+    return int(raw)
 
 
-def _load_checked(path: str, tol: float) -> Povm | None:
-    """Load a POVM that must have d >= 2 and validate at tol; None after an error message."""
+def _check_tol(tol: float) -> None:
+    if not tol >= 0:  # NaN fails too
+        raise ValueError(f"--tol must be >= 0, got {tol}")
+
+
+def _load_checked(path: str, tol: float) -> Povm:
+    """Check tol, then load a POVM that must have d >= 2 and validate at tol."""
+    _check_tol(tol)
     P = load_povm(path)
     if P.d < 2:
-        print(f"error: this command requires a POVM with d >= 2 (got d = {P.d})", file=sys.stderr)
-        return None
+        raise InputRejected(f"this command requires a POVM with d >= 2 (got d = {P.d})")
     report = validate(P, tol=tol)
     if not report.ok:
-        print(
-            f"error: input POVM fails validation (residual {report.max_residual:.3e})",
-            file=sys.stderr,
-        )
-        return None
+        raise InputRejected(f"input POVM fails validation (residual {report.max_residual:.3e})")
     return P
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    _check_tol(args.tol)
     P = load_povm(args.path)
     report = validate(P, tol=args.tol)
     print(f"d = {P.d}, m = {P.m}")
@@ -100,18 +115,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_cost(args: argparse.Namespace) -> int:
+    seed = _default_seed(args.seed)
     P = _load_checked(args.path, args.tol)
-    if P is None:
-        return 1
     # --e alone is the one-point sweep E..E
     e_max = args.e if args.e_max is None else args.e_max
-    try:
-        cfg = OptimizerConfig(restarts=args.restarts, seed=_default_seed(args.seed))
-        report = minimize_over_e(P, args.e, e_max, cfg)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    bb = best_bound(P, seed=_default_seed(args.seed))
+    report = minimize_over_e(P, args.e, e_max, OptimizerConfig(restarts=args.restarts, seed=seed))
+    bb = best_bound(P, seed=seed)
     if args.json:
         print(json.dumps(_cost_json(P, report, bb.value, bb.witness), indent=2))
         return 0
@@ -143,10 +152,9 @@ def _cost_json(P: Povm, report: CostReport, bound_value: float, bound_witness: s
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
+    seed = _default_seed(None)
     P = _load_checked(args.path, 1e-9)
-    if P is None:
-        return 1
-    bb = best_bound(P, seed=_default_seed(None))
+    bb = best_bound(P, seed=seed)
     print(f"element-count bound 1 - 1/m:        {bb.bound_element_count:.6f}")
     print(f"dimension bound H[(1-1/sqrt(d))/2]: {bb.bound_dimension:.6f}")
     print(f"best zeta-probe bound:              {bb.bound_zeta_best:.6f}")
@@ -155,18 +163,9 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_zero_cert(args: argparse.Namespace) -> int:
-    if not args.tol >= 0:
-        print(f"error: --tol must be >= 0, got {args.tol}", file=sys.stderr)
-        return 2
     P = _load_checked(args.path, args.tol)
-    if P is None:
-        return 1
     if P.d == 2:
-        try:
-            cert = zero_cost_decide_d2(P, tol=args.tol)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        cert = zero_cost_decide_d2(P, tol=args.tol)
         merged_m = len(cert.per_element_margins)
         if merged_m != P.m:
             print(f"note: margins refer to the POVM after merging parallel elements (m = {merged_m})")
@@ -186,13 +185,12 @@ def cmd_zero_cert(args: argparse.Namespace) -> int:
 
 def cmd_trine(args: argparse.Namespace) -> int:
     if args.grid < 1:
-        print("error: --grid must be >= 1", file=sys.stderr)
-        return 2
-    # open the output first, so an unwritable path fails before any work
+        raise ValueError("--grid must be >= 1")
+    seed = _default_seed(None)
+    # open the output before any work, so an unwritable path fails first
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         exact = trine_cost_exact()
-        cfg = OptimizerConfig(restarts=8, seed=_default_seed(None))
-        report = minimize(trine(), 2, cfg)
+        report = minimize(trine(), 2, OptimizerConfig(restarts=8, seed=seed))
         scan = derivative_sign_scan(10_000)
         curve = trine_curve(args.grid)
         writer = csv.writer(fh)
@@ -214,20 +212,13 @@ def cmd_trine(args: argparse.Namespace) -> int:
 
 def cmd_random_scan(args: argparse.Namespace) -> int:
     if args.m < args.d:
-        print("error: random-scan needs m >= d", file=sys.stderr)
-        return 2
+        raise ValueError("random-scan needs m >= d")
     if args.count < 0:
-        print("error: --count must be >= 0", file=sys.stderr)
-        return 2
+        raise ValueError("--count must be >= 0")
     if args.d < 2:
-        print(f"error: random-scan requires d >= 2 (got d = {args.d})", file=sys.stderr)
-        return 1
+        raise InputRejected(f"random-scan requires d >= 2 (got d = {args.d})")
     seed = _default_seed(args.seed)
-    try:
-        cfg = OptimizerConfig(restarts=args.restarts, seed=seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cfg = OptimizerConfig(restarts=args.restarts, seed=seed)
     # best_bound's one-extra-direction witness needs e >= m + 1; below that
     # the element-count and dimension caps are the bounds to hold the cost to
     use_best = args.e >= args.m + 1
@@ -236,11 +227,7 @@ def cmd_random_scan(args: argparse.Namespace) -> int:
     excesses: list[float] = []
     for i in range(args.count):
         P = random_haar(args.d, args.m, seed + i)
-        try:
-            report = minimize(P, args.e, cfg)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        report = minimize(P, args.e, cfg)
         bb = best_bound(P, seed=seed + i)
         bound_m, bound_d = bb.bound_element_count, bb.bound_dimension
         rows.append((i, report.best_cost, bound_m, bound_d, bb.value))
@@ -274,8 +261,7 @@ def cmd_tensor(args: argparse.Namespace) -> int:
     A = load_povm(args.path_a)
     B = load_povm(args.path_b)
     if A.d < 2 or B.d < 2:
-        print("error: tensor factors must have d >= 2", file=sys.stderr)
-        return 1
+        raise InputRejected("tensor factors must have d >= 2")
     T = tensor(A, B)
     save_povm(T, args.out)
     print(f"wrote {args.out}: d = {T.d}, m = {T.m}")
@@ -348,12 +334,14 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except PovmFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except InputRejected as exc:
+        code, message = 1, str(exc)
+    except (PovmFileError, ValueError) as exc:
+        code, message = 2, str(exc)
     except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 2
+        code, message = 2, f"cannot write output: {exc}"
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bounds import _TIE_TOL
 from .naimark import (
     ExtensionCostBreakdown,
     NaimarkExtension,
@@ -303,6 +304,9 @@ def minimize_over_e(
 ) -> CostReport:
     """Sweep the ancilla dimension and keep the cheapest report.
 
+    Costs within _TIE_TOL (1e-14) of the sweep's minimum tie, since they
+    round apart; the smallest e among them is kept.
+
     Defaults cover ceil(m/d) (smallest capacity) through m + 1 (where a
     one-extra-direction extension always exists); e_max may be raised to
     m*d, beyond which larger ancillas provably cannot help.
@@ -319,12 +323,9 @@ def minimize_over_e(
         raise ValueError(f"e_max must be <= m*d = {m * d}")
     if e_min > e_max:
         raise ValueError("empty ancilla range")
-    best = None
-    for e in range(e_min, e_max + 1):
-        rep = minimize(P, e, cfg)
-        if best is None or rep.best_cost < best.best_cost:
-            best = rep
-    return best
+    reports = [minimize(P, e, cfg) for e in range(e_min, e_max + 1)]
+    low = min(rep.best_cost for rep in reports)
+    return next(rep for rep in reports if rep.best_cost <= low + _TIE_TOL)
 
 
 def normalized_cost(report: CostReport, d: int) -> float:

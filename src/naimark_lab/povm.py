@@ -44,10 +44,6 @@ class Povm:
     def m(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def elements(self) -> list[np.ndarray]:
-        return [self.matrix[i] for i in range(self.m)]
-
 
 @dataclass(frozen=True)
 class Ensemble:

@@ -15,6 +15,9 @@ import numpy as np
 from .linalg import _domain_error, binary_entropy
 
 _TWO_THIRDS_PI = 2 * np.pi / 3
+# grid of mixing_reduction_scan: mixing weights p on [0, 1], angles on [0, pi/3]
+_MIXING_P_POINTS = 21
+_MIXING_THETA_POINTS = 61
 
 
 def f_curve(z: float | np.ndarray) -> float | np.ndarray:
@@ -124,9 +127,9 @@ class MixingScan:
     gap: float  # scan_min - pure_min; >= -tol confirms p = 1 is optimal
 
 
-def mixing_reduction_scan(p_points: int = 21, theta_points: int = 61) -> MixingScan:
+def mixing_reduction_scan() -> MixingScan:
     """Coarse (p, theta) scan confirming no mixed-ancilla point beats p = 1."""
-    thetas = np.linspace(0.0, np.pi / 3, theta_points)
+    thetas = np.linspace(0.0, np.pi / 3, _MIXING_THETA_POINTS)
     pure = trine_E_theta(thetas).min()
-    scan = mixed_ancilla_E(np.linspace(0.0, 1.0, p_points)[:, None], thetas).min()
+    scan = mixed_ancilla_E(np.linspace(0.0, 1.0, _MIXING_P_POINTS)[:, None], thetas).min()
     return MixingScan(pure_min=pure, scan_min=scan, gap=scan - pure)

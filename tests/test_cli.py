@@ -279,3 +279,48 @@ def test_tensor_rejects_trivial_factor(tmp_path):
     p1.write_text(json.dumps({"d": 1, "elements": [[[1.0, 0.0]]]}))
     assert main(["tensor", pa, str(p1), str(tmp_path / "o.json")]) == 1
     assert main(["tensor", pa, str(tmp_path / "absent.json"), str(tmp_path / "o.json")]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, env, code, message",
+    [
+        pytest.param(["cost", "{povm}", "--e", "2", "--restarts", "1", "--seed", "-5"], None, 2,
+                     "--seed must be >= 0, got -5", id="cost-negative-seed"),
+        pytest.param(["random-scan", "--d", "2", "--m", "3", "--count", "1", "--seed", "-5",
+                      "--out", "{out}"], None, 2, "--seed must be >= 0, got -5",
+                     id="random-scan-negative-seed"),
+        pytest.param(["bounds", "{povm}"], "abc", 2,
+                     f"{SEED_ENV_VAR} must be a non-negative integer, got 'abc'",
+                     id="bounds-env-seed-not-integer"),
+        pytest.param(["bounds", "{povm}"], "-3", 2,
+                     f"{SEED_ENV_VAR} must be a non-negative integer, got '-3'",
+                     id="bounds-env-seed-negative"),
+        pytest.param(["cost", "{povm}", "--tol", "-1"], None, 2, "--tol must be >= 0, got -1.0",
+                     id="cost-negative-tol"),
+        pytest.param(["validate", "{povm}", "--tol", "nan"], None, 2, "--tol must be >= 0, got nan",
+                     id="validate-nan-tol"),
+        pytest.param(["trine", "--grid", "4", "--out", "{out}"], "x", 2,
+                     f"{SEED_ENV_VAR} must be a non-negative integer, got 'x'",
+                     id="trine-env-seed-not-integer"),
+        pytest.param(["random-scan", "--d", "1", "--m", "1", "--count", "1", "--out", "{out}"],
+                     None, 1, "random-scan requires d >= 2", id="random-scan-d1"),
+        pytest.param(["cost", "{scaled}", "--e", "2"], None, 1, "input POVM fails validation",
+                     id="cost-invalid-povm"),
+    ],
+)
+def test_error_exit_contract(tmp_path, capsys, monkeypatch, argv, env, code, message):
+    # one error: line on stderr, nothing on stdout, no output file left behind
+    paths = {
+        "{povm}": write_povm(tmp_path, trine()),
+        "{scaled}": write_povm(tmp_path, Povm(trine().matrix * 0.9), "scaled.json"),
+        "{out}": str(tmp_path / "out.csv"),
+    }
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    if env is not None:
+        monkeypatch.setenv(SEED_ENV_VAR, env)
+    assert main([paths.get(arg, arg) for arg in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+    assert not (tmp_path / "out.csv").exists()

@@ -15,7 +15,8 @@ from naimark_lab import (
     trine,
     validate_extension,
 )
-from naimark_lab.optimize import _cost_and_grad, _lbfgs, _search, _search_space, _start_points
+from naimark_lab import optimize
+from naimark_lab.optimize import CostReport, _cost_and_grad, _lbfgs, _search, _search_space, _start_points
 from conftest import TRINE_EXACT, haar_unitary, kpom, qubit_sic, split_one, two_basis_mixture
 
 
@@ -181,6 +182,20 @@ def test_minimize_over_e_trine_sweep():
     per_e = {e: minimize(trine(), e, cfg) for e in (2, 3)}
     assert rep.best_cost == min(r.best_cost for r in per_e.values())
     assert rep.e_used == min(per_e, key=lambda e: per_e[e].best_cost)
+
+
+def test_minimize_over_e_ties_go_to_the_smallest_e(monkeypatch):
+    # the qubit SIC's one-restart costs at e = 2..5 agree to ~1e-15; only the
+    # rounding decides which is lowest, so the sweep keeps the smallest e
+    def fake_minimize(P, e, cfg):
+        return CostReport(e, costs[e], None, None, 1, True)
+
+    monkeypatch.setattr(optimize, "minimize", fake_minimize)
+    costs = {2: 0.37200377562484305, 3: 0.372003775624843, 4: 0.37200377562484443, 5: 0.3720037756248432}
+    rep = minimize_over_e(qubit_sic(), 2, 5)
+    assert (rep.e_used, rep.best_cost) == (2, costs[2])
+    costs[4] -= 1e-12  # a real improvement still wins
+    assert minimize_over_e(qubit_sic(), 2, 5).e_used == 4
 
 
 def test_minimize_over_e_von_neumann_trivial():

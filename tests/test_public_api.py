@@ -33,6 +33,10 @@ def test_all_matches_the_imported_names():
     assert all(hasattr(naimark_lab, name) for name in naimark_lab.__all__)
 
 
+def test_povm_has_no_elements_property():
+    assert not hasattr(naimark_lab.Povm, "elements")  # rows are Povm.matrix[i]
+
+
 @pytest.mark.parametrize("name", sorted(REMOVED))
 def test_removed_names_are_not_importable(name):
     assert not hasattr(naimark_lab, name)
