@@ -10,6 +10,7 @@ when every element has one.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,9 @@ from .naimark import _check_zeta, _prop5_predicted
 
 # Haar-random probe vectors tried by best_bound
 _ZETA_SAMPLES = 16
+# entries kept by the per-(seed, d) probe cache and the per-d dimension bound;
+# random-scan passes a new seed on every row, so the caches must stay bounded
+_CACHE_SIZE = 32
 # costs this close to the minimum tie with it (best_bound's candidates,
 # minimize_over_e's ancilla dimensions); costs equal in exact arithmetic
 # round apart by up to ~5e-15
@@ -47,6 +51,7 @@ def bound_element_count(P: Povm) -> float:
     return 1 - 1 / P.m
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def bound_dimension(d: int) -> float:
     """Any POVM in dimension d costs at most H((1 - 1/sqrt(d))/2) ebits."""
     if d < 2:
@@ -68,21 +73,15 @@ def best_bound(P: Povm, seed: int = 0) -> BoundReport:
     """Smallest available upper bound with the name of its achiever.
 
     Probes the one-extra-direction bound at every element direction and at
-    16 Haar-random unit vectors (seeded). The witness is the earliest
-    candidate in evaluation order within 1e-14 of the minimum, so exact
-    ties resolve by order and not by rounding; value is the minimum.
+    16 Haar-random unit vectors, drawn from seed once per (seed, d) and
+    kept in a bounded cache. The witness is the earliest candidate in
+    evaluation order within 1e-14 of the minimum, so exact ties resolve by
+    order and not by rounding; value is the minimum.
     """
     norms2 = np.einsum("ij,ij->i", P.matrix.conj(), P.matrix).real
     live = np.flatnonzero(norms2 >= ZERO_NORM_SQ)
-    # sample t draws its d real parts, then its d imaginary parts
-    z = np.random.default_rng(seed).standard_normal((_ZETA_SAMPLES, 2, P.d))
-    samples = z[:, 0] + 1j * z[:, 1]
-    samples /= np.linalg.norm(samples, axis=1, keepdims=True)
-    zetas = np.concatenate([P.matrix[live] / np.sqrt(norms2[live])[:, None], samples])
-    names = (
-        ["element_count", "dimension"]
-        + [f"zeta=element_{mu + 1}" for mu in live]
-        + [f"zeta=sample_{t + 1}" for t in range(_ZETA_SAMPLES)]
+    zetas = np.concatenate(
+        [P.matrix[live] / np.sqrt(norms2[live])[:, None], _probe_samples(seed, P.d)]
     )
     values = np.concatenate(
         [[bound_element_count(P), bound_dimension(P.d)], _prop5_predicted(P, zetas)]
@@ -91,11 +90,31 @@ def best_bound(P: Povm, seed: int = 0) -> BoundReport:
     best = int(np.flatnonzero(values <= low + _TIE_TOL)[0])
     return BoundReport(
         value=float(low),
-        witness=names[best],
+        witness=_witness_name(best, live),
         bound_element_count=float(values[0]),
         bound_dimension=float(values[1]),
         bound_zeta_best=float(values[2:].min()),
     )
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _probe_samples(seed: int, d: int) -> np.ndarray:
+    """best_bound's seeded Haar-random unit probe vectors, (16, d), read-only."""
+    # sample t draws its d real parts, then its d imaginary parts
+    z = np.random.default_rng(seed).standard_normal((_ZETA_SAMPLES, 2, d))
+    samples = z[:, 0] + 1j * z[:, 1]
+    samples /= np.linalg.norm(samples, axis=1, keepdims=True)
+    samples.flags.writeable = False
+    return samples
+
+
+def _witness_name(index: int, live: np.ndarray) -> str:
+    """Name of best_bound's candidate at index, in its evaluation order."""
+    if index < 2:
+        return ("element_count", "dimension")[index]
+    if index < 2 + live.size:
+        return f"zeta=element_{live[index - 2] + 1}"
+    return f"zeta=sample_{index - 1 - live.size}"
 
 
 def _orthogonal(M: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:

@@ -89,6 +89,13 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"--tol must be >= 0, got {tol}")
 
 
+def _optimizer_config(restarts: int, seed: int) -> OptimizerConfig:
+    """The search settings of --restarts and the resolved seed; checks the flag."""
+    if restarts < 1:
+        raise ValueError(f"--restarts must be >= 1, got {restarts}")
+    return OptimizerConfig(restarts=restarts, seed=seed)
+
+
 def _load_checked(path: str, tol: float) -> Povm:
     """Check tol, then load a POVM that must have d >= 2 and validate at tol."""
     _check_tol(tol)
@@ -115,12 +122,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_cost(args: argparse.Namespace) -> int:
-    seed = _default_seed(args.seed)
+    cfg = _optimizer_config(args.restarts, _default_seed(args.seed))
     P = _load_checked(args.path, args.tol)
     # --e alone is the one-point sweep E..E
     e_max = args.e if args.e_max is None else args.e_max
-    report = minimize_over_e(P, args.e, e_max, OptimizerConfig(restarts=args.restarts, seed=seed))
-    bb = best_bound(P, seed=seed)
+    report = minimize_over_e(P, args.e, e_max, cfg)
+    bb = best_bound(P, seed=cfg.seed)
     if args.json:
         print(json.dumps(_cost_json(P, report, bb.value, bb.witness), indent=2))
         return 0
@@ -217,8 +224,10 @@ def cmd_random_scan(args: argparse.Namespace) -> int:
         raise ValueError("--count must be >= 0")
     if args.d < 2:
         raise InputRejected(f"random-scan requires d >= 2 (got d = {args.d})")
+    if args.d * args.e < args.m:
+        raise ValueError(f"--e {args.e} is too small: d*e = {args.d * args.e} < m = {args.m}")
     seed = _default_seed(args.seed)
-    cfg = OptimizerConfig(restarts=args.restarts, seed=seed)
+    cfg = _optimizer_config(args.restarts, seed)
     # best_bound's one-extra-direction witness needs e >= m + 1; below that
     # the element-count and dimension caps are the bounds to hold the cost to
     use_best = args.e >= args.m + 1

@@ -113,17 +113,17 @@ def validate_extension(N: NaimarkExtension, P: Povm) -> ExtensionReport:
     B = N.basis
     de = N.d * N.e
     unit = float(np.abs(B @ B.conj().T - np.eye(de)).max())
-    form = 0.0
-    for nu in range(de):
-        v0 = B[nu, : N.d]
-        if nu < N.m:
-            k = P.matrix[nu]
-            # distance minimized over a global phase on the row
-            ip = np.vdot(k, v0)
-            phase = ip / abs(ip) if abs(ip) > ZERO_NORM_SQ else 1.0
-            form = max(form, float(np.linalg.norm(v0 - phase * k)))
-        else:
-            form = max(form, float(np.linalg.norm(v0)))
+    # block 0 of every row against its target: k_nu for nu < m, zero after
+    target = np.zeros((de, N.d), dtype=complex)
+    target[: N.m] = P.matrix
+    v0 = B[:, : N.d]
+    # distance minimized over a global phase on the row
+    ip = np.vecdot(target, v0)
+    mag = np.abs(ip)
+    live = mag > ZERO_NORM_SQ
+    phase = np.ones(de, dtype=complex)
+    phase[live] = ip[live] / mag[live]
+    form = float(np.linalg.norm(v0 - phase[:, None] * target, axis=1).max())
     ok = unit <= _EXTENSION_TOL and form <= _EXTENSION_TOL
     return ExtensionReport(ok=ok, unitarity_residual=unit, form_residual=form)
 
@@ -175,9 +175,22 @@ def marginal_povms(N: NaimarkExtension) -> list[Povm]:
 
 
 def _complete_rows(W: np.ndarray) -> np.ndarray:
-    """Complete orthonormal rows W (m x n) to an n x n unitary, rows first."""
-    U = gram_schmidt_complete(W.conj().T, tol=_COMPLETE_TOL)
-    return U.conj().T
+    """Complete orthonormal rows W (m x n) to an n x n unitary, rows first.
+
+    The first m rows are W, bit for bit; the rest are the orthonormal
+    complement from one complete-mode Householder QR of W^dag. Rows past m
+    never fire, so any complement serves: the cost sees only W. The default
+    completion (_default_block_basis) keeps in-order Gram-Schmidt instead,
+    since its completion columns fix restart 0's start point, and QR cannot
+    reproduce that order.
+    """
+    m, n = W.shape
+    if np.abs(W @ W.conj().T - np.eye(m)).max() > _COMPLETE_TOL:
+        raise ValueError("rows are not orthonormal within tol")
+    U = np.empty((n, n), dtype=complex)
+    U[:m] = W
+    U[m:] = np.linalg.qr(W.conj().T, mode="complete")[0][:, m:].conj().T
+    return U
 
 
 def _check_zeta(P: Povm, zeta: np.ndarray) -> np.ndarray:

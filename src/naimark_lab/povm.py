@@ -84,7 +84,12 @@ def validate(P: Povm, tol: float = 1e-9) -> ValidationReport:
     they are flagged in zero_norm_indices so callers can drop them.
     """
     M = P.matrix
-    residual = float(np.abs(M.conj().T @ M - np.eye(P.d)).max())
+    # an overflowing product |M_ki M_kj| <= max(|M_ki|^2, |M_kj|^2) means a
+    # diagonal entry of M^dag M, and so the residual, exceeds the float range
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = float(np.abs(M.conj().T @ M - np.eye(P.d)).max())
+    if not np.isfinite(residual):
+        residual = np.inf
     zero = tuple(i for i in range(P.m) if np.vdot(M[i], M[i]).real < ZERO_NORM_SQ)
     return ValidationReport(ok=residual <= tol, max_residual=residual, zero_norm_indices=zero)
 

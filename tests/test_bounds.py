@@ -17,7 +17,8 @@ from naimark_lab import (
     zero_cost_decide_d2,
     zero_cost_necessary,
 )
-from conftest import haar_unitary, kpom, n_d3, pairing_is_valid, two_basis_mixture
+from naimark_lab.bounds import _CACHE_SIZE, _probe_samples
+from conftest import TRINE_EXACT, haar_unitary, kpom, n_d3, pairing_is_valid, two_basis_mixture
 
 
 def test_bound_element_count():
@@ -33,6 +34,13 @@ def test_bound_dimension_reference_values():
     assert bound_dimension(2) == binary_entropy((1 - 1 / np.sqrt(2)) / 2)
     with pytest.raises(ValueError):
         bound_dimension(1)
+
+
+def test_dimension_bound_per_log2_d_stays_below_the_trine_for_d_at_least_3():
+    # the d >= 3 half of the trine's maximality: every POVM in dimension d
+    # costs at most bound_dimension(d), which lies below T log2(d)
+    for d in range(3, 65):
+        assert bound_dimension(d) / np.log2(d) < TRINE_EXACT, d
 
 
 def test_bound_prop5_trine_matches_placement_curve():
@@ -54,6 +62,18 @@ def test_best_bound_structure():
     assert rep.value == min(rep.bound_element_count, rep.bound_dimension, rep.bound_zeta_best)
     assert rep.witness.startswith("zeta=")  # trine's best is the zeta family
     assert abs(rep.bound_zeta_best - trine_E_theta(0.0)) < 1e-9
+
+
+def test_best_bound_repeats_across_the_probe_cache():
+    _probe_samples.cache_clear()
+    P = random_haar(3, 5, 8)
+    for seed in range(100):
+        first = best_bound(P, seed=seed)
+        assert best_bound(P, seed=seed) == first, seed
+    info = _probe_samples.cache_info()
+    assert info.currsize == info.maxsize == _CACHE_SIZE
+    assert info.hits == 100 and info.misses == 100
+    assert not _probe_samples(0, 3).flags.writeable
 
 
 def test_best_bound_von_neumann_hits_zero():

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -40,6 +41,17 @@ def test_validate_exit_codes(tmp_path):
     scaled = write_povm(tmp_path, Povm(trine().matrix * 0.9), "scaled.json")
     assert main(["validate", scaled]) == 1
     assert main(["validate", str(tmp_path / "missing.json")]) == 2
+
+
+def test_validate_reports_overflowing_residual_as_inf(tmp_path, capsys):
+    big = write_povm(tmp_path, Povm(np.ones((3, 2)) * 1e200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["validate", big]) == 1
+    captured = capsys.readouterr()
+    assert "max residual |M^dag M - I|: inf" in captured.out
+    assert captured.out.rstrip().endswith("INVALID")
+    assert captured.err == ""
 
 
 def test_validate_output(tmp_path, capsys):
@@ -306,6 +318,14 @@ def test_tensor_rejects_trivial_factor(tmp_path):
                      None, 1, "random-scan requires d >= 2", id="random-scan-d1"),
         pytest.param(["cost", "{scaled}", "--e", "2"], None, 1, "input POVM fails validation",
                      id="cost-invalid-povm"),
+        pytest.param(["cost", "{povm}", "--e", "2", "--restarts", "-1"], None, 2,
+                     "--restarts must be >= 1, got -1", id="cost-negative-restarts"),
+        pytest.param(["random-scan", "--d", "2", "--m", "3", "--count", "1", "--restarts", "0",
+                      "--out", "{out}"], None, 2, "--restarts must be >= 1, got 0",
+                     id="random-scan-zero-restarts"),
+        pytest.param(["random-scan", "--d", "2", "--m", "3", "--e", "1", "--count", "0",
+                      "--out", "{out}"], None, 2, "--e 1 is too small: d*e = 2 < m = 3",
+                     id="random-scan-capacity-before-loop"),
     ],
 )
 def test_error_exit_contract(tmp_path, capsys, monkeypatch, argv, env, code, message):

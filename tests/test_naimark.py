@@ -153,6 +153,17 @@ def test_prop5_extension_validates_and_matches_prediction():
         assert abs(measured - predicted) < 1e-9
 
 
+@pytest.mark.parametrize("d, m", [(2, 3), (2, 4), (3, 4), (3, 5)])
+def test_prop5_extension_validates_at_every_element_direction(d, m):
+    for seed in range(5):
+        P = random_haar(d, m, seed=100 * m + seed)
+        w = canonical_distribution(P)
+        for k in P.matrix:
+            ext, predicted = prop5_extension(P, k / np.linalg.norm(k))
+            assert validate_extension(ext, P).ok
+            assert abs(extension_cost(ext, w).total - predicted) < 1e-9
+
+
 def test_prop5_zeta_parallel_to_element_zeroes_its_term():
     T = trine()
     zeta = T.matrix[2] / np.linalg.norm(T.matrix[2])

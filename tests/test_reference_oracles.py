@@ -10,18 +10,23 @@ import numpy as np
 import pytest
 
 from naimark_lab import (
+    NaimarkExtension,
     Povm,
     best_bound,
     bound_dimension,
     bound_element_count,
     bound_prop5,
     gram_schmidt_complete,
+    construct_default,
     merge_parallel,
+    prop5_extension,
     random_haar,
     trine,
+    validate_extension,
     zero_cost_decide_d2,
 )
 from naimark_lab.bounds import _necessary_margins, _orthogonal
+from naimark_lab.naimark import _complete_rows
 from naimark_lab.povm import ZERO_NORM_SQ
 from conftest import haar_unitary, kpom, n_d3, pairing_is_valid, qubit_sic, two_basis_mixture
 
@@ -55,12 +60,17 @@ def padded(P, e):
     return cols
 
 
-def gs_inputs():
+def gs_povms():
+    """(POVM, name, e) for the completion inputs: every e in (2, 3, 6) with capacity."""
     rng = np.random.default_rng(8)
     named = [(Povm(np.eye(2, dtype=complex)), "von Neumann d=2"), (Povm(np.eye(3, dtype=complex)), "von Neumann d=3")]
     named += [(Povm(haar_unitary(3, rng)), "Haar basis d=3"), (trine(), "trine"), (kpom(), "kpom")]
     named += [(random_haar(d, m, s), f"haar d={d} m={m}") for d, m, s in [(2, 3, 1), (2, 4, 2), (3, 5, 3)]]
-    return [pytest.param(padded(P, e), id=f"{name} e={e}".replace(" ", "_")) for P, name in named for e in (2, 3, 6) if P.d * e >= P.m]
+    return [(P, name, e) for P, name in named for e in (2, 3, 6) if P.d * e >= P.m]
+
+
+def gs_inputs():
+    return [pytest.param(padded(P, e), id=f"{name} e={e}".replace(" ", "_")) for P, name, e in gs_povms()]
 
 
 @pytest.mark.parametrize("cols", gs_inputs())
@@ -77,6 +87,71 @@ def test_gram_schmidt_skip_path_is_exact_on_von_neumann():
     cols = padded(Povm(np.eye(2, dtype=complex)), 3)
     assert np.array_equal(gram_schmidt_complete(cols), np.eye(6))
     assert np.array_equal(mgs_complete(cols), np.eye(6))
+
+
+@pytest.mark.parametrize("cols", gs_inputs())
+def test_complete_rows_keeps_the_rows_and_is_unitary(cols):
+    W = cols.conj().T
+    U = _complete_rows(W)
+    assert np.array_equal(U[: W.shape[0]], W)
+    assert np.abs(U @ U.conj().T - np.eye(U.shape[0])).max() <= 1e-12
+
+
+def test_complete_rows_of_a_full_unitary_is_that_unitary():
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 3, 6):
+        W = haar_unitary(n, rng)
+        assert np.array_equal(_complete_rows(W), W)
+
+
+def validate_extension_loop(N, P):
+    """validate_extension's (ok, unitarity, form) residuals, one row at a time."""
+    B = N.basis
+    de = N.d * N.e
+    unit = float(np.abs(B @ B.conj().T - np.eye(de)).max())
+    form = 0.0
+    for nu in range(de):
+        v0 = B[nu, : N.d]
+        if nu < N.m:
+            k = P.matrix[nu]
+            ip = np.vdot(k, v0)
+            phase = ip / abs(ip) if abs(ip) > ZERO_NORM_SQ else 1.0
+            form = max(form, float(np.linalg.norm(v0 - phase * k)))
+        else:
+            form = max(form, float(np.linalg.norm(v0)))
+    return unit <= 1e-9 and form <= 1e-9, unit, form
+
+
+def extension_cases():
+    """Default and prop5 extensions of the completion POVMs, each also rephased,
+    with two rows swapped and with one row stretched."""
+    rng = np.random.default_rng(12)
+    cases = []
+    for P, _, e in gs_povms():
+        exts = [construct_default(P, e)]
+        exts += [prop5_extension(P, k / np.linalg.norm(k))[0] for k in P.matrix[:2]]
+        for N in exts:
+            de = N.d * N.e
+            swapped = N.basis.copy()
+            swapped[[0, de - 1]] = swapped[[de - 1, 0]]
+            stretched = N.basis.copy()
+            stretched[1] *= 1 + 1e-6
+            phases = np.exp(2j * np.pi * rng.uniform(size=de))[:, None]
+            for basis in (N.basis, phases * N.basis, swapped, stretched):
+                cases.append((NaimarkExtension(d=N.d, e=N.e, m=N.m, basis=basis), P))
+    return cases
+
+
+def test_validate_extension_matches_per_row_loop():
+    flags = set()
+    for N, P in extension_cases():
+        rep = validate_extension(N, P)
+        ok, unit, form = validate_extension_loop(N, P)
+        assert rep.ok == ok
+        assert rep.unitarity_residual == unit
+        assert abs(rep.form_residual - form) <= 1e-15
+        flags.add(ok)
+    assert flags == {True, False}
 
 
 # best_bound's tie rule: the witness is the earliest candidate within this of the minimum
