@@ -45,6 +45,7 @@ from .optimize import (
     OptimizerConfig,
     RestartRecord,
     minimize,
+    minimize_many,
     minimize_over_e,
     normalized_cost,
 )
@@ -111,6 +112,7 @@ __all__ = [
     "marginal_povms",
     "merge_parallel",
     "minimize",
+    "minimize_many",
     "minimize_over_e",
     "mixed_ancilla_E",
     "mixing_reduction_scan",

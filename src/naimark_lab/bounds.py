@@ -11,6 +11,7 @@ when every element has one.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,9 @@ _CACHE_SIZE = 32
 # minimize_over_e's ancilla dimensions); costs equal in exact arithmetic
 # round apart by up to ~5e-15
 _TIE_TOL = 1e-14
+# smallest tolerance of the zero-cost procedures: below it, float64 rounding in
+# the orthogonality and weight tests decides zero-cost POVMs "nonzero"
+_ZERO_TOL_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -73,11 +77,15 @@ def best_bound(P: Povm, seed: int = 0) -> BoundReport:
     """Smallest available upper bound with the name of its achiever.
 
     Probes the one-extra-direction bound at every element direction and at
-    16 Haar-random unit vectors, drawn from seed once per (seed, d) and
-    kept in a bounded cache. The witness is the earliest candidate in
-    evaluation order within 1e-14 of the minimum, so exact ties resolve by
-    order and not by rounding; value is the minimum.
+    16 Haar-random unit vectors, drawn from seed (a non-negative integer,
+    numpy integers included) once per (seed, d) and kept in a bounded
+    cache. The witness is the earliest candidate in evaluation order within
+    1e-14 of the minimum, so exact ties resolve by order and not by
+    rounding; value is the minimum.
     """
+    seed = operator.index(seed)  # None or a float raises TypeError
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     norms2 = np.einsum("ij,ij->i", P.matrix.conj(), P.matrix).real
     live = np.flatnonzero(norms2 >= ZERO_NORM_SQ)
     zetas = np.concatenate(
@@ -132,21 +140,30 @@ def _necessary_margins(M: np.ndarray, norms: np.ndarray, orth: np.ndarray) -> np
     return np.linalg.eigvalsh(lhs).min(axis=1)
 
 
+def _check_zero_tol(tol: float) -> None:
+    if not tol >= _ZERO_TOL_FLOOR:  # NaN fails too
+        raise ValueError(
+            f"tol must be >= {_ZERO_TOL_FLOOR:g}, below which float64 rounding decides; got {tol}"
+        )
+
+
 def zero_cost_necessary(P: Povm, tol: float = 1e-9) -> ZeroCostCertificate:
     """Operator-inequality necessary condition for zero cost.
 
     A zero-cost POVM must satisfy, for every mu,
     |k_mu><k_mu| + sum_{nu orthogonal to mu} |k_nu><k_nu| >= <k_mu|k_mu> I.
     A margin below -tol proves nonzero cost; otherwise the certificate is
-    inconclusive (the condition is necessary, never sufficient).
+    inconclusive (the condition is necessary, never sufficient). tol must
+    be at least 1e-12, above float64 rounding.
     """
+    _check_zero_tol(tol)
     margins = _necessary_margins(P.matrix, *_orthogonal(P.matrix, tol))
     decision = "nonzero" if margins.min() < -tol else "inconclusive"
     return ZeroCostCertificate(decision=decision, per_element_margins=margins)
 
 
 def zero_cost_decide_d2(P: Povm, tol: float = 1e-9) -> ZeroCostCertificate:
-    """Complete zero-cost decision for qubit POVMs, for 0 <= tol < 1/2.
+    """Complete zero-cost decision for qubit POVMs, for 1e-12 <= tol < 1/2.
 
     After merging parallel elements, each element has at most one partner:
     an orthogonal element of equal squared norm. The POVM has zero cost
@@ -155,7 +172,8 @@ def zero_cost_decide_d2(P: Povm, tol: float = 1e-9) -> ZeroCostCertificate:
     """
     if P.d != 2:
         raise ValueError("this decision procedure is specific to d = 2")
-    if not 0 <= tol < 0.5:
+    _check_zero_tol(tol)
+    if not tol < 0.5:
         raise ValueError(f"the d = 2 decision needs 0 <= tol < 1/2, got {tol}")
     M = merge_parallel(P, tol).matrix
     norms, orth = _orthogonal(M, tol)

@@ -76,6 +76,16 @@ def test_best_bound_repeats_across_the_probe_cache():
     assert not _probe_samples(0, 3).flags.writeable
 
 
+def test_best_bound_takes_only_a_non_negative_integer_seed():
+    P = random_haar(2, 4, 5)
+    assert best_bound(P, seed=np.int64(7)) == best_bound(P, seed=7)
+    for bad in (None, 2.0, "3"):  # None once drew fresh probes in every process
+        with pytest.raises(TypeError):
+            best_bound(P, seed=bad)
+    with pytest.raises(ValueError, match="non-negative integer, got -1"):
+        best_bound(P, seed=-1)
+
+
 def test_best_bound_von_neumann_hits_zero():
     rep = best_bound(Povm(np.eye(2, dtype=complex)))
     # zeta along either element zeroes both terms: r^2 = 1 makes alpha = -1
@@ -146,9 +156,27 @@ def test_decide_d2_thirty_element_mixture_zero():
 
 
 def test_decide_d2_rejects_tolerance_outside_zero_to_half():
-    for tol in (0.5, 0.6, -1e-3):
+    for tol in (0.5, 0.6, -1e-3, 0.0, 1e-16):
         with pytest.raises(ValueError):
             zero_cost_decide_d2(kpom(), tol=tol)
+
+
+def test_zero_cost_necessary_rejects_tolerance_below_rounding():
+    for tol in (1e-13, 0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="tol must be >= 1e-12"):
+            zero_cost_necessary(kpom(), tol=tol)
+
+
+def test_zero_cost_necessary_at_the_floor_never_refutes_a_basis_mixture():
+    # p U0 + (1 - p) U1 costs zero; below the floor, rounding called it nonzero
+    # (200 of 200 d = 3 mixtures at 1e-16, up to 37 of 100 at d = 16 and 1e-15)
+    rng = np.random.default_rng(12)
+    for d in (3, 8, 16):
+        for _ in range(20):
+            p = rng.uniform(0.15, 0.85)
+            U0, U1 = haar_unitary(d, rng), haar_unitary(d, rng)
+            P = Povm(np.vstack([np.sqrt(p) * U0, np.sqrt(1 - p) * U1]))
+            assert zero_cost_necessary(P, tol=1e-12).decision == "inconclusive", d
 
 
 def test_decide_d2_margins_refer_to_merged_povm():

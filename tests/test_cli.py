@@ -1,10 +1,13 @@
+import csv
+import io
 import json
 import warnings
 
 import numpy as np
 import pytest
 
-from naimark_lab import Povm, random_haar, trine, validate
+from naimark_lab import OptimizerConfig, Povm, best_bound, minimize, random_haar, trine, validate
+from naimark_lab import cli
 from naimark_lab.cli import SEED_ENV_VAR, load_povm, main, save_povm
 from conftest import TRINE_EXACT, kpom, qubit_sic
 
@@ -212,6 +215,26 @@ def test_random_scan_csv(tmp_path, capsys):
     assert "finding (d = 2, e = 2)" in text
 
 
+@pytest.mark.parametrize("stack_size", [None, 16])
+def test_random_scan_table_is_the_per_povm_minimize_loop_byte_for_byte(tmp_path, monkeypatch, stack_size):
+    # the scan runs its POVMs in lockstep stacks (one of 40, or 16 + 16 + 8); its
+    # table is the one a loop of minimize calls writes, byte for byte
+    if stack_size is not None:
+        monkeypatch.setattr(cli, "_SCAN_STACK", stack_size)
+    out_csv = tmp_path / "scan.csv"
+    assert main(["random-scan", "--d", "2", "--m", "3", "--count", "40", "--seed", "5",
+                 "--out", str(out_csv)]) == 0
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["seed_index", "cost", "bound_m", "bound_d", "best_bound"])
+    for i in range(40):
+        P = random_haar(2, 3, 5 + i)
+        bb = best_bound(P, seed=5 + i)
+        cost = minimize(P, 2, OptimizerConfig(restarts=6, seed=5)).best_cost
+        writer.writerow([i, cost, bb.bound_element_count, bb.bound_dimension, bb.value])
+    assert out_csv.read_bytes() == expected.getvalue().encode()
+
+
 def test_random_scan_count_zero(tmp_path):
     out_csv = tmp_path / "empty.csv"
     assert main(["random-scan", "--d", "2", "--m", "3", "--count", "0",
@@ -326,6 +349,8 @@ def test_tensor_rejects_trivial_factor(tmp_path):
         pytest.param(["random-scan", "--d", "2", "--m", "3", "--e", "1", "--count", "0",
                       "--out", "{out}"], None, 2, "--e 1 is too small: d*e = 2 < m = 3",
                      id="random-scan-capacity-before-loop"),
+        pytest.param(["zero-cert", "{povm}", "--tol", "1e-13"], None, 2,
+                     "--tol must be >= 1e-12 for zero-cert", id="zero-cert-tol-below-rounding"),
     ],
 )
 def test_error_exit_contract(tmp_path, capsys, monkeypatch, argv, env, code, message):

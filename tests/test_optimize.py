@@ -9,6 +9,7 @@ from naimark_lab import (
     construct_default,
     extension_cost,
     minimize,
+    minimize_many,
     minimize_over_e,
     normalized_cost,
     random_haar,
@@ -16,11 +17,25 @@ from naimark_lab import (
     validate_extension,
 )
 from naimark_lab import optimize
-from naimark_lab.optimize import CostReport, _cost_and_grad, _lbfgs, _search, _search_space, _start_points
+from naimark_lab.optimize import CostReport, _cost_and_grad, _lbfgs, _search, _search_space, _stack
 from conftest import TRINE_EXACT, haar_unitary, kpom, qubit_sic, split_one, two_basis_mixture
 
 
 FAST = OptimizerConfig(restarts=4, max_iters=2000, seed=0)
+
+
+def stack(problems, cfg):
+    """(charts, starts, e_top) of the lockstep stack of every restart of every (P, e)."""
+    return _stack(problems, [_search_space(P, e) for P, e in problems], cfg)
+
+
+def same_report(a, b):
+    """True when two reports agree bit for bit: costs, extension and every restart record."""
+    return (
+        (a.e_used, a.best_cost, a.history, a.restarts, a.converged)
+        == (b.e_used, b.best_cost, b.history, b.restarts, b.converged)
+        and np.array_equal(a.best_extension.basis, b.best_extension.basis)
+    )
 
 
 def test_objective_at_zero_matches_default_completion():
@@ -44,36 +59,52 @@ def test_objective_zero_for_von_neumann_any_params():
 
 
 def test_cost_and_grad_matches_central_differences():
+    # one chart over three points, then a stack of two charts whose first is padded from e = 2 to 3
     P = random_haar(3, 5, seed=7)
-    e = 3
-    B, Q0 = _search_space(P, e)
-    args = (P.matrix, B, canonical_distribution(P), P.d, e)
     rng = np.random.default_rng(1)
-    Z = rng.standard_normal((3, *Q0.shape)) + 1j * rng.standard_normal((3, *Q0.shape))
-    f, G = _cost_and_grad(Z, *args)
-    assert f.shape == (3,) and G.shape == Z.shape
-    h = 1e-6
-    for k in range(len(Z)):
-        for idx in np.ndindex(Q0.shape):
-            for unit, part in ((1, G.real), (1j, G.imag)):
-                step = np.zeros_like(Z)
-                step[k][idx] = h * unit
-                up, down = _cost_and_grad(Z + step, *args)[0], _cost_and_grad(Z - step, *args)[0]
-                fd = (up[k] - down[k]) / (2 * h)
-                assert abs(fd - part[k][idx]) < 1e-7, (k, idx, unit, fd, part[k][idx])
+    for problems, restarts in (([(P, 3)], 3), ([(P, 2), (random_haar(3, 5, seed=8), 3)], 1)):
+        charts, starts, e = stack(problems, OptimizerConfig(restarts=restarts))
+        Z = rng.standard_normal(starts.shape) + 1j * rng.standard_normal(starts.shape)
+        if charts.pad is not None:
+            Z[np.broadcast_to(charts.pad, Z.shape)] = 0
+        f, G = _cost_and_grad(Z, charts, P.d, e)
+        assert f.shape == (len(Z),) and G.shape == Z.shape
+        h = 1e-6
+        for k in range(len(Z)):
+            # on a padded column the gradient is zero, and so is the central difference,
+            # since flipping the sign of an empty ancilla level leaves every entropy alone
+            for idx in np.ndindex(Z.shape[1:]):
+                for unit, part in ((1, G.real), (1j, G.imag)):
+                    step = np.zeros_like(Z)
+                    step[k][idx] = h * unit
+                    up = _cost_and_grad(Z + step, charts, P.d, e)[0]
+                    down = _cost_and_grad(Z - step, charts, P.d, e)[0]
+                    fd = (up[k] - down[k]) / (2 * h)
+                    assert abs(fd - part[k][idx]) < 1e-7, (k, idx, unit, fd, part[k][idx])
 
 
-@pytest.mark.parametrize("name", ["trine", "kpom", "haar357"])
+STACKS = {
+    "trine": lambda: [(trine(), 2)],
+    "kpom": lambda: [(kpom(), 2)],
+    "haar357": lambda: [(random_haar(3, 5, 7), 3)],
+    # three POVMs in one stack
+    "three-haar24": lambda: [(random_haar(2, 4, s), 2) for s in (1, 2, 3)],
+    # sweep stacks: the smaller e are zero-padded to e_max, and so is each of their starts alone
+    "trine-sweep": lambda: [(trine(), e) for e in (2, 3, 4)],
+    "haar35-sweep": lambda: [(random_haar(3, 5, 9), e) for e in (2, 3)],
+}
+
+
+@pytest.mark.parametrize("name", list(STACKS))
 def test_start_path_does_not_depend_on_its_stack(name):
-    P, e = {"trine": (trine(), 2), "kpom": (kpom(), 2), "haar357": (random_haar(3, 5, 7), 3)}[name]
-    B, Q0 = _search_space(P, e)
-    args = (P.matrix, B, canonical_distribution(P), P.d, e)
-    starts = _start_points(Q0, OptimizerConfig(restarts=8, seed=3))
-    stacked = _search(*args, starts, 2000)
-    for Z, together in zip(starts, stacked):
-        (alone,) = _search(*args, [Z], 2000)
-        assert np.array_equal(alone[0], together[0])
-        assert alone[1:] == together[1:]
+    problems = STACKS[name]()
+    charts, starts, e = stack(problems, OptimizerConfig(restarts=8, seed=3))
+    d = problems[0][0].d
+    stacked = _search(charts, starts, d, e, 2000)
+    for k, together in enumerate(stacked):
+        (alone,) = _search(charts.take([k]), starts[k : k + 1], d, e, 2000)
+        assert np.array_equal(alone[0], together[0]), k
+        assert alone[1:] == together[1:], k
 
 
 def test_restart_records_and_stop_reasons():
@@ -187,15 +218,48 @@ def test_minimize_over_e_trine_sweep():
 def test_minimize_over_e_ties_go_to_the_smallest_e(monkeypatch):
     # the qubit SIC's one-restart costs at e = 2..5 agree to ~1e-15; only the
     # rounding decides which is lowest, so the sweep keeps the smallest e
-    def fake_minimize(P, e, cfg):
-        return CostReport(e, costs[e], None, None, 1, True)
+    def fake_stack(problems, cfg):
+        return [CostReport(e, costs[e], None, None, 1, True) for _, e in problems]
 
-    monkeypatch.setattr(optimize, "minimize", fake_minimize)
+    monkeypatch.setattr(optimize, "_minimize_stack", fake_stack)
     costs = {2: 0.37200377562484305, 3: 0.372003775624843, 4: 0.37200377562484443, 5: 0.3720037756248432}
     rep = minimize_over_e(qubit_sic(), 2, 5)
     assert (rep.e_used, rep.best_cost) == (2, costs[2])
     costs[4] -= 1e-12  # a real improvement still wins
     assert minimize_over_e(qubit_sic(), 2, 5).e_used == 4
+
+
+def test_one_point_sweep_is_minimize_bit_for_bit():
+    cases = [(trine(), 2), (kpom(), 3), (random_haar(3, 5, 7), 3), (qubit_sic(), 4)]
+    for P, e in cases:
+        assert same_report(minimize_over_e(P, e, e, FAST), minimize(P, e, FAST)), e
+
+
+def test_sweep_costs_match_standalone_minimize():
+    # padding rounds differently, so a sweep's per-e cost is close to, not equal to, minimize's
+    cfg = OptimizerConfig(restarts=2)
+    shapes = [(2, 3, (2, 3, 4)), (2, 4, (2, 3)), (3, 5, (2, 3))]
+    for i in range(30):
+        d, m, es = shapes[i % 3]
+        P = random_haar(d, m, 5000 + i)
+        reports = optimize._minimize_stack([(P, e) for e in es], cfg)
+        for e, rep in zip(es, reports):
+            assert rep.e_used == e and validate_extension(rep.best_extension, P).ok
+            assert abs(rep.best_cost - minimize(P, e, cfg).best_cost) <= 1e-12, (i, e)
+
+
+def test_minimize_many_is_minimize_bit_for_bit():
+    # criterion 7's shapes, interleaved: one stack per (d, m), reports in input order
+    shapes = [(2, 3), (2, 4), (3, 4)]
+    povms = [random_haar(*shapes[i % 3], seed=1000 + i) for i in range(40)]
+    reports = minimize_many(povms, 2, FAST)
+    assert len(reports) == 40
+    for P, rep in zip(povms, reports):
+        assert same_report(rep, minimize(P, 2, FAST))
+    assert minimize_many([], 2, FAST) == []
+    vn = Povm(haar_unitary(2, np.random.default_rng(3)))  # no completion freedom beside a search
+    for P, rep in zip([vn, trine()], minimize_many([vn, trine()], 2, FAST)):
+        assert same_report(rep, minimize(P, 2, FAST))
 
 
 def test_minimize_over_e_von_neumann_trivial():

@@ -299,9 +299,13 @@ def basis_union(rng):
     return Povm(rows[rng.permutation(2 * n)])
 
 
-@pytest.mark.parametrize("tol", [1e-16, 1e-9, 1e-3])
+@pytest.mark.parametrize("tol", [1e-16, 1e-12, 1e-9, 1e-3])
 def test_decide_d2_matches_matching_search(tol):
     rng = np.random.default_rng(20)
+    if tol < 1e-12:  # below float64 rounding almost no pair passed the partner test: now rejected
+        with pytest.raises(ValueError, match="tol must be >= 1e-12"):
+            zero_cost_decide_d2(basis_union(rng), tol)
+        return
     decisions, checked = [], 0
     for i in range(300):
         P = basis_union(rng)
@@ -314,5 +318,4 @@ def test_decide_d2_matches_matching_search(tol):
             assert pairing_is_valid(P, cert), i
             checked += 1
     assert decisions.count("nonzero") >= 100, decisions.count("nonzero")
-    if tol >= 1e-9:  # at 1e-16, below rounding, almost no pair passes the partner test
-        assert checked >= 150, checked
+    assert checked >= 150, checked
