@@ -174,7 +174,7 @@ def zero_cost_decide_d2(P: Povm, tol: float = 1e-9) -> ZeroCostCertificate:
         raise ValueError("this decision procedure is specific to d = 2")
     _check_zero_tol(tol)
     if not tol < 0.5:
-        raise ValueError(f"the d = 2 decision needs 0 <= tol < 1/2, got {tol}")
+        raise ValueError(f"the d = 2 decision needs {_ZERO_TOL_FLOOR:g} <= tol < 1/2, got {tol}")
     M = merge_parallel(P, tol).matrix
     norms, orth = _orthogonal(M, tol)
     margins = _necessary_margins(M, norms, orth)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -33,11 +34,6 @@ from .povm import Povm, random_haar, tensor, trine, validate
 from .trine_analytic import derivative_sign_scan, trine_cost_exact, trine_curve
 
 SEED_ENV_VAR = "NAIMARK_LAB_SEED"
-# POVMs per lockstep stack of random-scan. Every start of a stack holds its
-# L-BFGS state until it stops, so one stack for the whole scan grew the peak
-# RSS with --count (151 MB against 38 MB at 3000 POVMs, d = 2, m = 3); the
-# time per POVM stops falling at about this size.
-_SCAN_STACK = 128
 
 
 class PovmFileError(Exception):
@@ -251,15 +247,13 @@ def cmd_random_scan(args: argparse.Namespace) -> int:
     cap_name = "best_bound" if use_best else "min(bound_m, bound_d)"
     rows: list[tuple[int, float, float, float, float]] = []
     excesses: list[float] = []
-    for lo in range(0, args.count, _SCAN_STACK):
-        hi = min(lo + _SCAN_STACK, args.count)
-        povms = [random_haar(args.d, args.m, seed + i) for i in range(lo, hi)]
-        for i, (P, report) in enumerate(zip(povms, minimize_many(povms, args.e, cfg)), start=lo):
-            bb = best_bound(P, seed=seed + i)
-            bound_m, bound_d = bb.bound_element_count, bb.bound_dimension
-            rows.append((i, report.best_cost, bound_m, bound_d, bb.value))
-            cap = bb.value if use_best else min(bound_m, bound_d)
-            excesses.append(report.best_cost - cap)
+    povms = [random_haar(args.d, args.m, seed + i) for i in range(args.count)]
+    for i, (P, report) in enumerate(zip(povms, minimize_many(povms, args.e, cfg))):
+        bb = best_bound(P, seed=seed + i)
+        bound_m, bound_d = bb.bound_element_count, bb.bound_dimension
+        rows.append((i, report.best_cost, bound_m, bound_d, bb.value))
+        cap = bb.value if use_best else min(bound_m, bound_d)
+        excesses.append(report.best_cost - cap)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["seed_index", "cost", "bound_m", "bound_d", "best_bound"])
@@ -295,7 +289,9 @@ def cmd_tensor(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of every main call: built once, since parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="naimark-lab",
         description="Entanglement cost of rank-1 POVMs via Naimark extensions.",

@@ -5,21 +5,23 @@ X = B Q, where B B^dag = I - M M^dag has rank r = m - d and Q is an
 r x d(e-1) matrix with orthonormal rows: a point on a Stiefel manifold.
 The search runs over an unconstrained complex Z with Q = polar(Z), by
 L-BFGS on the weighted row entropies and their analytic gradient, chained
-through the polar map. All restarts run in lockstep: each is a generator
-that yields its next trial point, and one batched evaluation serves every
-restart still running. Each start carries its own chart (M, B, weights),
-so one stack also holds the restarts of many POVMs of one shape
-(minimize_many), or of every ancilla dimension of a sweep, zero-padded to
-the largest (minimize_over_e). Restart 0 starts at the default
-completion, later restarts at seeded complex Gaussian points, so more
-restarts are never worse. Results are upper estimates of the true
-minimum; the problem is not convex and no global certificate is claimed.
+through the polar map. Each L-BFGS run keeps its curvature pairs in the
+compact form of Byrd, Nocedal & Schnabel, so an iteration costs the same
+number of array operations at any memory size. All restarts run in
+lockstep: each is a generator that yields its next trial point, and one
+batched evaluation serves every restart still running. Each start
+carries its own chart (M, B, weights), so one stack also holds the
+restarts of many POVMs of one shape (minimize_many), or of every ancilla
+dimension of a sweep, zero-padded to the largest (minimize_over_e).
+Restart 0 starts at the default completion, later restarts at seeded
+complex Gaussian points, so more restarts are never worse. Results are
+upper estimates of the true minimum; the problem is not convex and no
+global certificate is claimed.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -46,6 +48,11 @@ _MEMORY = 10
 # strong Wolfe constants of the line search, and its trial steps before it gives up
 _C1, _C2 = 1e-4, 0.9
 _LINE_SEARCH_TRIALS = 20
+# POVMs per lockstep stack of minimize_many. Every start of a stack holds its
+# L-BFGS state until it stops, so one stack for a whole scan grew the peak RSS
+# with the number of POVMs (151 MB against 38 MB at 3000 POVMs, d = 2, m = 3);
+# the time per POVM stops falling at about this size.
+_MANY_STACK = 128
 
 
 @dataclass(frozen=True)
@@ -101,9 +108,9 @@ def _start_points(Q0: np.ndarray, cfg: OptimizerConfig) -> list[np.ndarray]:
 
 
 def _polar(Z: np.ndarray):
-    """Q = polar(Z) for a stack Z (R, r, n); also U and sigma of Z = U sigma W^dag."""
+    """Q = polar(Z) for a stack Z (R, r, n); also U, sigma and W^dag of Z = U sigma W^dag."""
     U, sigma, Wh = np.linalg.svd(Z, full_matrices=False)
-    return U @ Wh, U, sigma
+    return U @ Wh, U, sigma, Wh
 
 
 class _Charts(NamedTuple):
@@ -138,19 +145,20 @@ def _cost_and_grad(Z, charts: _Charts, d, e):
     the stack holds, so a start's values do not depend on the other starts.
     """
     M, B, weights, pad = charts
-    Q, U, sigma = _polar(Z)
+    Q, U, sigma, Wh = _polar(Z)
     rows = np.empty((len(Z), M.shape[1], d * e), dtype=complex)
     rows[..., :d] = M
     np.matmul(B, Q, out=rows[..., d:])
     S, Gamma = _row_entropies(rows, d, e, grad=True)
     GQ = B.conj().mT @ (weights[..., None] * Gamma[..., d:])
-    # adjoint of the polar map with H = U sigma U^dag:
-    # Gamma_Z = K Q + H^-1 GQ (I - Q^dag Q), where H K + K H = R - R^dag
-    Uh = U.conj().mT
-    R = GQ @ Q.conj().mT
-    C = Uh @ (R - R.conj().mT) @ U
-    K = U @ (C / (sigma[:, :, None] + sigma[:, None, :])) @ Uh
-    GZ = K @ Q + ((U / sigma[:, None, :]) @ Uh) @ (GQ - R @ Q)
+    # adjoint of the polar map, in the frame of Z = U sigma W^dag: with
+    # Gt = U^dag GQ and Rt = Gt W, row i of the bracket divided by sigma_i,
+    # G_Z = U [(Rt - Rt^dag) / (sigma_i + sigma_j) W^dag + (Gt - Rt W^dag) / sigma]
+    Gt = U.conj().mT @ GQ
+    Rt = Gt @ Wh.conj().mT
+    si = sigma[:, :, None]
+    K = (Rt - Rt.conj().mT) / (si + sigma[:, None, :])
+    GZ = U @ (K @ Wh + (Gt - Rt @ Wh) / si)
     if pad is not None:
         # zero already, up to rounding: an empty ancilla level enters the entropy at second order
         GZ[np.broadcast_to(pad, GZ.shape)] = 0
@@ -158,19 +166,70 @@ def _cost_and_grad(Z, charts: _Charts, d, e):
     return (S.reshape(len(Z), -1) * weights).sum(axis=1), 2 * GZ
 
 
-def _direction(g: np.ndarray, pairs) -> np.ndarray:
-    """-H g by the two-loop recursion (Nocedal & Wright alg. 7.4), H0 = (s.y / y.y) I."""
-    q = g.copy()
-    alphas = []
-    for s, y, rho in reversed(pairs):
-        alphas.append(rho * (s @ q))
-        q -= alphas[-1] * y
-    if pairs:
-        s, y, rho = pairs[-1]
-        q *= 1.0 / (rho * (y @ y))
-    for (s, y, rho), a in zip(pairs, reversed(alphas)):
-        q += (a - rho * (y @ q)) * s
-    return -q
+class _Memory:
+    """The last _MEMORY curvature pairs (s, y) of one L-BFGS run, in compact form.
+
+    With S and Y the pairs as rows, oldest first, R = triu(S Y^T) and
+    D = diag(s.y), the inverse Hessian estimate is (Byrd, Nocedal &
+    Schnabel, Math. Programming 63, 1994)
+        H = gamma I + [S^T  gamma Y^T] N [S; gamma Y],
+        N = [[R^-T (D + gamma Y Y^T) R^-1, -R^-T], [-R^-1, 0]],
+    with gamma = s.y / y.y of the newest pair. The memory keeps R^-1, Y Y^T
+    and D up to date pair by pair, so a direction costs a fixed number of
+    array operations at any number of pairs.
+    """
+
+    __slots__ = ("SY", "Rinv", "YY", "D", "k")
+
+    def __init__(self, n: int):
+        self.SY = np.empty((2, _MEMORY, n))  # S, then Y
+        self.Rinv = np.zeros((_MEMORY, _MEMORY))  # upper triangular
+        self.YY = np.empty((_MEMORY, _MEMORY))
+        self.D = np.empty(_MEMORY)
+        self.k = 0  # pairs held, in rows 0 .. k - 1
+
+    def __len__(self) -> int:
+        return self.k
+
+    def clear(self) -> None:
+        self.k = 0
+
+    def append(self, s: np.ndarray, y: np.ndarray, sy: float, yy: float) -> None:
+        """Add the pair (s, y) with s.y = sy > 0 and y.y = yy, dropping the oldest when full."""
+        k = self.k
+        if k == _MEMORY:
+            # drop the oldest pair: the trailing block of a triangular
+            # matrix's inverse is the inverse of its trailing block
+            self.SY[:, :-1] = self.SY[:, 1:]
+            self.Rinv[:-1, :-1] = self.Rinv[1:, 1:]
+            self.YY[:-1, :-1] = self.YY[1:, 1:]
+            self.D[:-1] = self.D[1:]
+            k -= 1
+        Sy, Yy = self.SY[:, :k] @ y
+        # R gains the column S y and the corner sy; R^-1 the column -R^-1 (S y) / sy
+        self.Rinv[:k, k] = self.Rinv[:k, :k] @ Sy / -sy
+        self.Rinv[k, k] = 1.0 / sy
+        self.YY[:k, k] = self.YY[k, :k] = Yy
+        self.YY[k, k] = yy
+        self.D[k] = sy
+        self.SY[0, k], self.SY[1, k] = s, y
+        self.k = k + 1
+
+    def direction(self, g: np.ndarray) -> np.ndarray:
+        """-H g = gamma (Y^T u - g) - S^T v, or -g with no pairs.
+
+        Here u = R^-1 S g and v = R^-T ((D + gamma Y Y^T) u - gamma Y g).
+        """
+        k = self.k
+        if not k:
+            return -g
+        SY = self.SY[:, :k]
+        Rinv = self.Rinv[:k, :k]
+        gamma = self.D[k - 1] / self.YY[k - 1, k - 1]
+        Sg, Yg = SY @ g
+        u = Rinv @ Sg
+        v = (self.D[:k] * u + gamma * (self.YY[:k, :k] @ u - Yg)) @ Rinv
+        return gamma * (u @ SY[1] - g) - v @ SY[0]
 
 
 def _cubic_min(a0, f0, g0, a1, f1, g1) -> float:
@@ -229,27 +288,27 @@ def _lbfgs(x: np.ndarray, max_iters: int):
     """
     f, g = yield x
     evaluations, iterations = 1, 0
-    pairs = deque(maxlen=_MEMORY)  # (s, y, 1 / s.y)
+    memory = _Memory(len(x))
     grad_norm = float(np.abs(g).max())
     stop = "grad_tol" if grad_norm <= _GRAD_TOL else None
     while stop is None:
-        d = _direction(g, pairs)
+        d = memory.direction(g)
         slope = float(g @ d)
-        step = 1.0 if pairs else 1.0 / math.sqrt(d @ d)
+        step = 1.0 if memory else 1.0 / math.sqrt(d @ d)
         trials, point = (yield from _wolfe(x, f, slope, d, step)) if slope < 0 else (0, None)
         evaluations += trials
         if point is None:
-            if pairs:
-                pairs.clear()
+            if memory:
+                memory.clear()
                 continue
             stop = "line_search"
             break
         iterations += 1
         x_new, f_new, g_new = point
         s, y = x_new - x, g_new - g
-        sy = float(s @ y)
-        if sy > np.finfo(float).eps * (y @ y):
-            pairs.append((s, y, 1.0 / sy))
+        sy, yy = float(s @ y), float(y @ y)
+        if sy > np.finfo(float).eps * yy:
+            memory.append(s, y, sy, yy)
         x, f, g, f_old = x_new, f_new, g_new, f
         grad_norm = float(np.abs(g).max())
         if grad_norm <= _GRAD_TOL:
@@ -387,19 +446,22 @@ def minimize(P: Povm, e: int, cfg: OptimizerConfig = OptimizerConfig()) -> CostR
 
 
 def minimize_many(povms, e: int, cfg: OptimizerConfig = OptimizerConfig()) -> list[CostReport]:
-    """minimize(P, e, cfg) for each P of povms, bit for bit, in one lockstep stack per (d, m).
+    """minimize(P, e, cfg) for each P of povms, bit for bit, in lockstep stacks per (d, m).
 
     A start's path does not depend on its stack, so each report equals the
     one minimize returns; the stack only shares the per-round overhead
-    among all restarts of all POVMs of a shape. Reports keep input order.
+    among all restarts of the POVMs of a shape, at most _MANY_STACK POVMs
+    to a stack. Reports keep input order.
     """
     groups: dict[tuple[int, int], list[int]] = {}
     for i, P in enumerate(povms):
         groups.setdefault((P.d, P.m), []).append(i)
     reports = [None] * len(povms)
     for idx in groups.values():
-        for i, rep in zip(idx, _minimize_stack([(povms[i], e) for i in idx], cfg)):
-            reports[i] = rep
+        for lo in range(0, len(idx), _MANY_STACK):
+            chunk = idx[lo : lo + _MANY_STACK]
+            for i, rep in zip(chunk, _minimize_stack([(povms[i], e) for i in chunk], cfg)):
+                reports[i] = rep
     return reports
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from naimark_lab import OptimizerConfig, Povm, best_bound, minimize, random_haar, trine, validate
-from naimark_lab import cli
+from naimark_lab import optimize
 from naimark_lab.cli import SEED_ENV_VAR, load_povm, main, save_povm
 from conftest import TRINE_EXACT, kpom, qubit_sic
 
@@ -156,7 +156,7 @@ def test_zero_cert_bad_tolerance_exit_2(tmp_path, capsys):
     messages = {
         "-1": "--tol must be >= 0, got -1.0",
         "0.49": "merging parallel elements at tol = 0.49 leaves 1 element(s), fewer than d = 2",
-        "0.6": "needs 0 <= tol < 1/2",
+        "0.6": "needs 1e-12 <= tol < 1/2",
     }
     for tol, message in messages.items():
         assert main(["zero-cert", path, "--tol", tol]) == 2
@@ -220,7 +220,7 @@ def test_random_scan_table_is_the_per_povm_minimize_loop_byte_for_byte(tmp_path,
     # the scan runs its POVMs in lockstep stacks (one of 40, or 16 + 16 + 8); its
     # table is the one a loop of minimize calls writes, byte for byte
     if stack_size is not None:
-        monkeypatch.setattr(cli, "_SCAN_STACK", stack_size)
+        monkeypatch.setattr(optimize, "_MANY_STACK", stack_size)
     out_csv = tmp_path / "scan.csv"
     assert main(["random-scan", "--d", "2", "--m", "3", "--count", "40", "--seed", "5",
                  "--out", str(out_csv)]) == 0

@@ -209,10 +209,13 @@ def test_minimize_over_e_trine_sweep():
     cfg = OptimizerConfig(restarts=3, max_iters=1500)
     rep = minimize_over_e(trine(), 2, 3, cfg)
     assert TRINE_EXACT - 1e-9 <= rep.best_cost <= TRINE_EXACT + 1e-4
-    # the sweep keeps the cheapest of the per-e runs, bit for bit
-    per_e = {e: minimize(trine(), e, cfg) for e in (2, 3)}
+    # the sweep keeps the cheapest of its own per-e reports, bit for bit
+    per_e = dict(zip((2, 3), optimize._minimize_stack([(trine(), 2), (trine(), 3)], cfg)))
     assert rep.best_cost == min(r.best_cost for r in per_e.values())
     assert rep.e_used == min(per_e, key=lambda e: per_e[e].best_cost)
+    # below e_max the padding rounds differently: within 1e-12 of standalone minimize
+    for e, r in per_e.items():
+        assert abs(r.best_cost - minimize(trine(), e, cfg).best_cost) <= 1e-12, e
 
 
 def test_minimize_over_e_ties_go_to_the_smallest_e(monkeypatch):
@@ -259,6 +262,25 @@ def test_minimize_many_is_minimize_bit_for_bit():
     assert minimize_many([], 2, FAST) == []
     vn = Povm(haar_unitary(2, np.random.default_rng(3)))  # no completion freedom beside a search
     for P, rep in zip([vn, trine()], minimize_many([vn, trine()], 2, FAST)):
+        assert same_report(rep, minimize(P, 2, FAST))
+
+
+def test_minimize_many_stacks_at_most_the_cap(monkeypatch):
+    # more POVMs of one shape than the cap: stacks of 3 + 3 + 1 (2, 3) and 3 + 1 (2, 4)
+    monkeypatch.setattr(optimize, "_MANY_STACK", 3)
+    sizes = []
+    stack_of = optimize._minimize_stack
+
+    def recorded(problems, cfg):
+        sizes.append(len(problems))
+        return stack_of(problems, cfg)
+
+    monkeypatch.setattr(optimize, "_minimize_stack", recorded)
+    shapes = [(2, 3), (2, 4), (2, 3)] * 3 + [(2, 4), (2, 3)]
+    povms = [random_haar(d, m, seed=2000 + i) for i, (d, m) in enumerate(shapes)]
+    reports = minimize_many(povms, 2, FAST)
+    assert sizes == [3, 3, 1, 3, 1]
+    for P, rep in zip(povms, reports):
         assert same_report(rep, minimize(P, 2, FAST))
 
 

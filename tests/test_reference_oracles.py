@@ -3,8 +3,11 @@
 Each reference is the straightforward loop the library computes in one
 array step; they must agree to a tolerance set by the float64 rounding of
 the changed summation order. The d = 2 zero-cost decision is checked
-against a backtracking perfect-matching search, which it must equal.
+against a backtracking perfect-matching search, which it must equal, and
+the compact L-BFGS memory against the two-loop recursion.
 """
+
+from collections import deque
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from naimark_lab import (
 )
 from naimark_lab.bounds import _necessary_margins, _orthogonal
 from naimark_lab.naimark import _complete_rows
+from naimark_lab.optimize import _MEMORY, _Memory
 from naimark_lab.povm import ZERO_NORM_SQ
 from conftest import haar_unitary, kpom, n_d3, pairing_is_valid, qubit_sic, two_basis_mixture
 
@@ -319,3 +323,48 @@ def test_decide_d2_matches_matching_search(tol):
             checked += 1
     assert decisions.count("nonzero") >= 100, decisions.count("nonzero")
     assert checked >= 150, checked
+
+
+def two_loop(g, pairs):
+    """-H g by the two-loop recursion (Nocedal & Wright alg. 7.4), H0 = (s.y / y.y) I.
+
+    pairs holds (s, y, 1 / s.y), oldest first; H0 takes the newest pair.
+    """
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alphas.append(rho * (s @ q))
+        q -= alphas[-1] * y
+    if pairs:
+        s, y, rho = pairs[-1]
+        q *= 1.0 / (rho * (y @ y))
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
+        q += (a - rho * (y @ q)) * s
+    return -q
+
+
+def test_compact_memory_matches_two_loop():
+    # past the wraparound at _MEMORY pairs, and again after clear()
+    rng = np.random.default_rng(13)
+    n = 24
+    A = rng.standard_normal((n, n))
+    A = A @ A.T + 0.1 * np.eye(n)  # y = A s + noise keeps s.y > 0
+    memory, pairs = _Memory(n), deque(maxlen=_MEMORY)
+    for rnd in range(2):
+        for k in range(15):
+            assert len(memory) == len(pairs) == min(k, _MEMORY)
+            for _ in range(3):
+                g = rng.standard_normal(n)
+                ref = two_loop(g, pairs)
+                err = np.linalg.norm(memory.direction(g) - ref) / np.linalg.norm(ref)
+                assert err <= 1e-12, (rnd, k, err)
+            s = rng.standard_normal(n)
+            y = A @ s + 0.01 * rng.standard_normal(n)
+            sy = float(s @ y)
+            assert sy > 0
+            memory.append(s, y, sy, float(y @ y))
+            pairs.append((s, y, 1.0 / sy))
+        memory.clear()
+        pairs.clear()
+        g = rng.standard_normal(n)
+        assert np.array_equal(memory.direction(g), -g)
