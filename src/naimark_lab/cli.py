@@ -140,7 +140,7 @@ def cmd_cost(args: argparse.Namespace) -> int:
         print(json.dumps(_cost_json(P, report, bb.value, bb.witness), indent=2))
         return 0
     print(f"best cost: {report.best_cost:.9f} ebits (e = {report.e_used})")
-    print(f"normalized cost F = cost/log2(d): {normalized_cost(report, P.d):.9f}")
+    print(f"normalized cost F = cost/log2(d): {normalized_cost(report):.9f}")
     ent = report.breakdown.per_outcome_entanglement
     wts = report.breakdown.weights
     for mu, (h, q) in enumerate(zip(ent, wts), start=1):
@@ -156,7 +156,7 @@ def _cost_json(P: Povm, report: CostReport, bound_value: float, bound_witness: s
         "m": P.m,
         "best_cost": report.best_cost,
         "e_used": report.e_used,
-        "normalized_cost": normalized_cost(report, P.d),
+        "normalized_cost": normalized_cost(report),
         "per_outcome_entanglement": [float(x) for x in report.breakdown.per_outcome_entanglement],
         "weights": [float(x) for x in report.breakdown.weights],
         "restarts_run": report.restarts_run,

@@ -15,22 +15,14 @@ ComplexMatrix = np.ndarray
 _SPAN_TOL = 1e-8
 
 
-def gram_schmidt_complete(cols: ComplexMatrix, tol: float = 1e-10) -> ComplexMatrix:
+def gram_schmidt_complete(cols: ComplexMatrix) -> ComplexMatrix:
     """Complete k orthonormal columns to a full n x n unitary.
 
-    Appends the standard basis vectors in index order by block Gram-Schmidt
-    (see orthonormal_extend): candidates whose residual norm falls below
-    1e-8 are skipped. The first k output columns are the input columns,
-    bit for bit.
-
-    Parameters
-    ----------
-    cols : (n, k) complex ndarray with orthonormal columns.
-    tol : tolerance for the input orthonormality check.
-
-    Returns
-    -------
-    (n, n) complex ndarray, unitary within 10*tol.
+    cols is (n, k), its columns orthonormal within 1e-10. Appends the
+    standard basis vectors in index order by block Gram-Schmidt (see
+    orthonormal_extend): candidates whose residual norm falls below 1e-8
+    are skipped. The first k output columns are the input columns, bit for
+    bit, and the result is unitary within 1e-9.
     """
     cols = np.asarray(cols, dtype=complex)
     if cols.ndim != 2:
@@ -39,13 +31,9 @@ def gram_schmidt_complete(cols: ComplexMatrix, tol: float = 1e-10) -> ComplexMat
     if k > n:
         raise ValueError(f"cannot complete {k} columns in dimension {n}")
     gram = cols.conj().T @ cols
-    if k > 0 and np.abs(gram - np.eye(k)).max() > tol:
-        raise ValueError("input columns are not orthonormal within tol")
-    out = orthonormal_extend(cols, np.eye(n, dtype=complex))
-    if out.shape[1] != n:
-        # cannot happen for orthonormal input; guards degenerate callers
-        raise ValueError("failed to complete the basis")
-    return out
+    if k > 0 and np.abs(gram - np.eye(k)).max() > 1e-10:
+        raise ValueError("input columns are not orthonormal within 1e-10")
+    return orthonormal_extend(cols, np.eye(n, dtype=complex))
 
 
 def orthonormal_extend(cols: ComplexMatrix, candidates: ComplexMatrix) -> ComplexMatrix:

@@ -10,8 +10,10 @@ in state 0 then reproduces the POVM, and rows nu > m never fire.
 
 Only the m firing rows carry cost. Their completion part X satisfies
 X X^dag = I - M M^dag, so X = B Q with B of rank r = m - d and Q an
-r x d(e-1) matrix with orthonormal rows; that Q is the search space of the
-cost optimizer, and every completion unitary V in U(de-d) maps to one such Q.
+r x d(e-1) matrix with orthonormal rows, one Q per X. That Q is the one
+chart of the extensions: construct_completion builds the extension at Q,
+and the cost optimizer searches over it. The rows past m are any
+orthonormal complement of the firing rows.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import binary_entropy, gram_schmidt_complete, orthonormal_extend
+from .linalg import binary_entropy, orthonormal_extend
 from .povm import ZERO_NORM_SQ, OutcomeDistribution, Povm
 
 # forgiving orthonormality gate for internal completions; POVM validity at
@@ -64,42 +66,52 @@ class ExtensionReport:
     form_residual: float
 
 
-def _default_block_basis(P: Povm, e: int) -> np.ndarray:
-    """de x de unitary whose first d columns are the zero-padded element rows."""
-    de = P.d * e
-    if de < P.m:
-        raise ValueError(f"capacity d*e = {de} < m = {P.m}")
-    block = np.zeros((de, P.d), dtype=complex)
-    block[: P.m] = P.matrix
-    return gram_schmidt_complete(block, tol=_COMPLETE_TOL)
+def _chart(P: Povm, e: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The default completion X0 (m x d(e-1)) and its chart: B (m x r) and Q0, B Q0 = X0.
+
+    X0 = [C | 0]: C holds the first r = m - d columns that in-order
+    Gram-Schmidt adds to the element block zero-padded to de, over the first
+    m standard basis vectors. Only r, since a near-valid column residual
+    above the 1e-8 span test admits one more, which is noise. B and Q0 come
+    from the thin SVD of X0.
+    """
+    d, m = P.d, P.m
+    if d * e < m:
+        raise ValueError(f"capacity d*e = {d * e} < m = {m}")
+    if np.abs(P.matrix.conj().T @ P.matrix - np.eye(d)).max() > _COMPLETE_TOL:
+        raise ValueError("input columns are not orthonormal within tol")
+    block = np.zeros((d * e, d), dtype=complex)
+    block[:m] = P.matrix
+    X0 = np.zeros((m, d * (e - 1)), dtype=complex)
+    X0[:, : m - d] = orthonormal_extend(block, np.eye(d * e, m, dtype=complex))[:m, d:m]
+    U, s, Vh = np.linalg.svd(X0, full_matrices=False)
+    return X0, U[:, : m - d] * s[: m - d], Vh[: m - d]
+
+
+def _extension(P: Povm, e: int, X: np.ndarray) -> NaimarkExtension:
+    """The extension whose firing rows are [M | X], completed by _complete_rows."""
+    basis = _complete_rows(np.concatenate([P.matrix, X], axis=1))
+    return NaimarkExtension(d=P.d, e=e, m=P.m, basis=basis)
 
 
 def construct_default(P: Povm, e: int) -> NaimarkExtension:
-    """Zero-pad the element rows to de and complete deterministically."""
-    L = _default_block_basis(P, e)
-    return NaimarkExtension(d=P.d, e=e, m=P.m, basis=L)
+    """The extension of the default completion X0 (see _chart)."""
+    return _extension(P, e, _chart(P, e)[0])
 
 
-def construct_completion(P: Povm, e: int, V: np.ndarray) -> NaimarkExtension:
-    """Extension with completion columns C replaced by C V, V in U(de-d).
+def construct_completion(P: Povm, e: int, Q: np.ndarray) -> NaimarkExtension:
+    """The extension with firing rows [M | B Q] at the chart point Q (see _chart).
 
-    Sweeping V over the unitary group reaches every extension with this
-    (d, e) up to physically irrelevant row phases.
+    Q is (m - d) x d(e-1) with orthonormal rows within 1e-10.
     """
-    V = np.asarray(V, dtype=complex)
-    n = P.d * e - P.d
-    if V.shape != (n, n):
-        raise ValueError(f"V must be {n} x {n}")
-    if n > 0 and np.abs(V.conj().T @ V - np.eye(n)).max() > 1e-10:
-        raise ValueError("V is not unitary within 1e-10")
-    L = _default_block_basis(P, e)
-    return NaimarkExtension(d=P.d, e=e, m=P.m, basis=_apply_completion(L, P.d, V))
-
-
-def _apply_completion(L: np.ndarray, d: int, V: np.ndarray) -> np.ndarray:
-    out = L.copy()
-    out[:, d:] = L[:, d:] @ V
-    return out
+    _, B, _ = _chart(P, e)
+    Q = np.asarray(Q, dtype=complex)
+    r, n = B.shape[1], P.d * (e - 1)
+    if Q.shape != (r, n):
+        raise ValueError(f"Q must be {r} x {n}")
+    if r and np.abs(Q @ Q.conj().T - np.eye(r)).max() > 1e-10:
+        raise ValueError("Q does not have orthonormal rows within 1e-10")
+    return _extension(P, e, B @ Q)
 
 
 def validate_extension(N: NaimarkExtension, P: Povm) -> ExtensionReport:
@@ -179,10 +191,8 @@ def _complete_rows(W: np.ndarray) -> np.ndarray:
 
     The first m rows are W, bit for bit; the rest are the orthonormal
     complement from one complete-mode Householder QR of W^dag. Rows past m
-    never fire, so any complement serves: the cost sees only W. The default
-    completion (_default_block_basis) keeps in-order Gram-Schmidt instead,
-    since its completion columns fix restart 0's start point, and QR cannot
-    reproduce that order.
+    never fire, so any complement serves: the cost sees only W. Every
+    extension the library builds is completed here.
     """
     m, n = W.shape
     if np.abs(W @ W.conj().T - np.eye(m)).max() > _COMPLETE_TOL:

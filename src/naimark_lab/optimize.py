@@ -22,6 +22,7 @@ global certificate is claimed.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -31,8 +32,8 @@ from .bounds import _TIE_TOL
 from .naimark import (
     ExtensionCostBreakdown,
     NaimarkExtension,
-    _complete_rows,
-    _default_block_basis,
+    _chart,
+    _extension,
     _row_entropies,
     extension_cost,
 )
@@ -62,8 +63,13 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # here, not in the middle of a search: a float raises TypeError, numpy integers pass
+        for name in ("restarts", "max_iters", "seed"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.restarts < 1 or self.max_iters < 1:
             raise ValueError("counts must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,14 +94,6 @@ class CostReport:
     converged: bool
     history: list = field(default_factory=list)  # per-restart final values
     restarts: tuple = ()  # one RestartRecord per restart; none without completion freedom
-
-
-def _search_space(P: Povm, e: int) -> tuple[np.ndarray, np.ndarray]:
-    """B (m x r) and the default completion's Q0 (r x n), with X0 = B Q0."""
-    L0 = _default_block_basis(P, e)  # raises on capacity d*e < m
-    U, s, Vh = np.linalg.svd(L0[: P.m, P.d :], full_matrices=False)
-    r = P.m - P.d
-    return U[:, :r] * s[:r], Vh[:r]
 
 
 def _start_points(Q0: np.ndarray, cfg: OptimizerConfig) -> list[np.ndarray]:
@@ -353,7 +351,7 @@ def _search(charts: _Charts, starts, d, e, max_iters: int) -> list[tuple]:
 def _report(P: Povm, e: int, B, Q, runs) -> CostReport:
     """The CostReport of P at e from the _lbfgs results of its restarts.
 
-    B and Q are P's search space at e; a run's Z may be zero-padded past
+    B and Q are P's chart at e; a run's Z may be zero-padded past
     Q's columns, and only its own columns are kept. Without runs (no
     completion freedom) the one completion B Q is evaluated.
     """
@@ -369,8 +367,7 @@ def _report(P: Povm, e: int, B, Q, runs) -> CostReport:
         converged = records[best].stop in _CONVERGED
         Q = _polar(runs[best][0].view(complex).reshape(1, r, -1)[..., :n])[0][0]
 
-    basis = _complete_rows(np.concatenate([P.matrix, B @ Q], axis=1))
-    ext = NaimarkExtension(d=P.d, e=e, m=P.m, basis=basis)
+    ext = _extension(P, e, B @ Q)
     breakdown = extension_cost(ext, canonical_distribution(P))
     if not history:  # no completion freedom: one evaluation
         history = [breakdown.total]
@@ -423,7 +420,7 @@ def _minimize_stack(problems: list[tuple[Povm, int]], cfg: OptimizerConfig) -> l
     Returns one report per problem, in order.
     """
     d, m = problems[0][0].d, problems[0][0].m
-    spaces = [_search_space(P, e) for P, e in problems]
+    spaces = [_chart(P, e)[1:] for P, e in problems]
     runs = [()] * len(problems)
     if m > d:
         charts, starts, e_top = _stack(problems, spaces, cfg)
@@ -502,8 +499,9 @@ def minimize_over_e(
     return next(rep for rep in reports if rep.best_cost <= low + _TIE_TOL)
 
 
-def normalized_cost(report: CostReport, d: int) -> float:
-    """Cost per qubit of system space: best_cost / log2(d)."""
+def normalized_cost(report: CostReport) -> float:
+    """Cost per qubit of system space: best_cost / log2(d), d of the report's extension."""
+    d = report.best_extension.d
     if d < 2:
         raise ValueError("normalized cost needs d >= 2")
     return report.best_cost / np.log2(d)

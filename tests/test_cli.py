@@ -88,6 +88,14 @@ def test_cost_rejects_invalid_povm(tmp_path):
     assert main(["cost", scaled, "--e", "2"]) == 1
 
 
+def test_cost_accepts_what_validates_at_its_tol(tmp_path, capsys):
+    # residual 4e-8: valid at --tol 1e-7, and the search runs on the trine's chart
+    near = write_povm(tmp_path, Povm(trine().matrix * (1 + 2e-8)), "near.json")
+    assert main(["cost", near, "--e", "2", "--restarts", "2", "--tol", "1e-7", "--json"]) == 0
+    assert abs(json.loads(capsys.readouterr().out)["best_cost"] - TRINE_EXACT) <= 1e-7
+    assert main(["cost", near, "--e", "2", "--restarts", "2"]) == 1  # fails validation at 1e-9
+
+
 def test_cost_capacity_exit_2(tmp_path):
     path = write_povm(tmp_path, random_haar(2, 5, 0))
     assert main(["cost", path, "--e", "2", "--restarts", "1"]) == 2

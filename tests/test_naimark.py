@@ -17,14 +17,18 @@ from naimark_lab import (
     validate,
     validate_extension,
 )
+from naimark_lab.naimark import _chart
 from conftest import haar_unitary, kpom, partial_trace, von_neumann_entropy
+
+
+def chart_point(P, e, rng):
+    """A random chart point Q: the first m - d rows of a Haar unitary of size d(e - 1)."""
+    return haar_unitary(P.d * (e - 1), rng)[: P.m - P.d]
 
 
 def random_extension(d, m, e, seed):
     P = random_haar(d, m, seed)
-    rng = np.random.default_rng(seed + 10_000)
-    V = haar_unitary(d * e - d, rng)
-    return P, construct_completion(P, e, V)
+    return P, construct_completion(P, e, chart_point(P, e, np.random.default_rng(seed + 10_000)))
 
 
 def test_construct_default_validates():
@@ -46,26 +50,71 @@ def test_construct_completion_preserves_canonical_form():
     rng = np.random.default_rng(1)
     P = random_haar(2, 4, 3)
     for e in [2, 3]:
-        V = haar_unitary(2 * e - 2, rng)
-        N = construct_completion(P, e, V)
+        N = construct_completion(P, e, chart_point(P, e, rng))
         rep = validate_extension(N, P)
         assert rep.ok
         # first d columns of the measured rows stay pinned to the POVM rows
         assert np.abs(N.basis[: P.m, : P.d] - P.matrix).max() < 1e-12
 
 
-def test_construct_completion_rejects_nonunitary():
-    P = random_haar(2, 3, 0)
-    with pytest.raises(ValueError):
-        construct_completion(P, 2, np.ones((2, 2), dtype=complex))
+def test_construct_completion_rejects_a_bad_chart_point():
+    P = random_haar(2, 3, 0)  # r = 1, d(e - 1) = 2
+    with pytest.raises(ValueError, match="orthonormal rows"):
+        construct_completion(P, 2, np.ones((1, 2), dtype=complex))
+    with pytest.raises(ValueError, match="Q must be 1 x 2"):
+        construct_completion(P, 2, np.eye(2, dtype=complex))  # the old V shape
+    with pytest.raises(ValueError, match="capacity"):
+        construct_completion(random_haar(2, 5, 0), 2, np.eye(3, 2, dtype=complex))
 
 
 def test_construct_completion_deterministic():
     P = random_haar(2, 3, 2)
-    V = haar_unitary(2, np.random.default_rng(4))
-    A = construct_completion(P, 2, V).basis
-    B = construct_completion(P, 2, V).basis
+    Q = chart_point(P, 2, np.random.default_rng(4))
+    A = construct_completion(P, 2, Q).basis
+    B = construct_completion(P, 2, Q).basis
     assert np.array_equal(A, B)
+
+
+def test_construct_completion_at_the_default_point_is_the_default_extension():
+    # B Q0 = X0 up to rounding, and the firing rows carry the whole cost
+    for d, m, e in [(2, 3, 2), (2, 4, 3), (3, 5, 2)]:
+        P = random_haar(d, m, seed=d * 100 + m)
+        X0, B, Q0 = _chart(P, e)
+        assert np.abs(B @ Q0 - X0).max() < 1e-14
+        default = construct_default(P, e).basis
+        at_Q0 = construct_completion(P, e, Q0).basis
+        assert np.abs(at_Q0[:m] - default[:m]).max() < 1e-14
+
+
+def test_chart_point_of_an_extension_is_unique():
+    # Q = B^+ X recovers the chart point from the firing rows
+    rng = np.random.default_rng(2)
+    for d, m, e in [(2, 3, 2), (2, 4, 3), (3, 5, 3)]:
+        P = random_haar(d, m, seed=m)
+        Q = chart_point(P, e, rng)
+        X = construct_completion(P, e, Q).basis[:m, d:]
+        _, B, _ = _chart(P, e)
+        assert np.abs(np.linalg.pinv(B) @ X - Q).max() < 1e-12
+
+
+@pytest.mark.parametrize("scale", [1e-8, 2e-8, 3e-8])
+def test_default_completion_of_a_near_valid_povm_is_unitary(scale):
+    # columns orthonormal within 1e-7 but not within the 1e-8 span test: the
+    # completion still adds exactly m - d columns, none of them noise
+    P = Povm(trine().matrix * (1 + scale))
+    U = construct_default(P, 2).basis
+    assert np.abs(U @ U.conj().T - np.eye(4)).max() < 1e-7
+    for i in range(200):
+        d, m = [(2, 3), (2, 4), (3, 4), (3, 5)][i % 4]
+        P = Povm(random_haar(d, m, seed=i).matrix * (1 + scale))
+        e = -(-m // d) + i % 2
+        U = construct_default(P, e).basis
+        assert np.abs(U @ U.conj().T - np.eye(d * e)).max() < 1e-7, i
+
+
+def test_default_completion_rejects_an_invalid_povm():
+    with pytest.raises(ValueError, match="not orthonormal"):
+        construct_default(Povm(trine().matrix * 1.01), 2)
 
 
 def test_validate_extension_detects_corruption():
@@ -122,7 +171,7 @@ def test_extension_cost_matches_partial_trace_oracle(d, e):
 
 def test_extension_cost_matches_partial_trace_oracle_trine():
     T = trine()
-    N = construct_completion(T, 2, haar_unitary(2, np.random.default_rng(12)))
+    N = construct_completion(T, 2, chart_point(T, 2, np.random.default_rng(12)))
     ent = extension_cost(N, canonical_distribution(T)).per_outcome_entanglement
     assert np.abs(ent - oracle_entanglements(N)).max() <= 1e-12
 
@@ -227,9 +276,7 @@ def test_kpom_product_extension_via_hadamard_rotation():
 
 def test_compress_ancilla_shrinks_and_preserves():
     P = trine()
-    rng = np.random.default_rng(51)
-    V = haar_unitary(2 * 4 - 2, rng)
-    N = construct_completion(P, 4, V)
+    N = construct_completion(P, 4, chart_point(P, 4, np.random.default_rng(51)))
     w = canonical_distribution(P)
     C = compress_ancilla(N)
     assert C.e <= N.e

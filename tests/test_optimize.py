@@ -17,7 +17,8 @@ from naimark_lab import (
     validate_extension,
 )
 from naimark_lab import optimize
-from naimark_lab.optimize import CostReport, _cost_and_grad, _lbfgs, _search, _search_space, _stack
+from naimark_lab.naimark import _chart
+from naimark_lab.optimize import CostReport, _cost_and_grad, _lbfgs, _search, _stack
 from conftest import TRINE_EXACT, haar_unitary, kpom, qubit_sic, split_one, two_basis_mixture
 
 
@@ -26,7 +27,7 @@ FAST = OptimizerConfig(restarts=4, max_iters=2000, seed=0)
 
 def stack(problems, cfg):
     """(charts, starts, e_top) of the lockstep stack of every restart of every (P, e)."""
-    return _stack(problems, [_search_space(P, e) for P, e in problems], cfg)
+    return _stack(problems, [_chart(P, e)[1:] for P, e in problems], cfg)
 
 
 def same_report(a, b):
@@ -50,7 +51,7 @@ def test_objective_zero_for_von_neumann_any_params():
     P = Povm(haar_unitary(2, np.random.default_rng(3)))
     rng = np.random.default_rng(9)
     for _ in range(5):
-        N = construct_completion(P, 2, haar_unitary(2, rng))
+        N = construct_completion(P, 2, haar_unitary(2, rng)[:0])  # r = m - d = 0 rows
         assert extension_cost(N, canonical_distribution(P)).total < 1e-10
     # m = d leaves no completion freedom in the firing rows: one evaluation
     rep = minimize(P, 2, FAST)
@@ -205,6 +206,22 @@ def test_minimize_capacity_error():
         minimize(random_haar(2, 5, 0), 2, FAST)  # d*e = 4 < m = 5
 
 
+@pytest.mark.parametrize("scale", [1e-8, 3e-8])
+def test_minimize_near_valid_trine(scale):
+    # columns orthonormal within 1e-7: the chart is that of the trine, and so is the cost
+    rep = minimize(Povm(trine().matrix * (1 + scale)), 2, FAST)
+    assert abs(rep.best_cost - TRINE_EXACT) <= 1e-7
+
+
+def test_minimize_rejects_an_invalid_povm_before_the_search(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(optimize, "_search", no_search)
+    with pytest.raises(ValueError, match="input columns are not orthonormal"):
+        minimize(Povm(trine().matrix * 1.01), 2, FAST)
+
+
 def test_minimize_over_e_trine_sweep():
     cfg = OptimizerConfig(restarts=3, max_iters=1500)
     rep = minimize_over_e(trine(), 2, 3, cfg)
@@ -305,16 +322,34 @@ def test_minimize_over_e_range_validation():
         minimize_over_e(T, 3, 2)
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        OptimizerConfig(restarts=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(max_iters=0)
+@pytest.mark.parametrize(
+    "kwargs, error, match",
+    [
+        ({"restarts": 0}, ValueError, "counts must be positive"),
+        ({"max_iters": 0}, ValueError, "counts must be positive"),
+        ({"seed": -5, "restarts": 3}, ValueError, "seed must be a non-negative integer, got -5"),
+        ({"restarts": 2.5}, TypeError, "'float' object cannot be interpreted as an integer"),
+        ({"max_iters": 10.0}, TypeError, "'float' object cannot be interpreted as an integer"),
+        ({"seed": 1.5}, TypeError, "'float' object cannot be interpreted as an integer"),
+        ({"seed": None}, TypeError, "'NoneType' object cannot be interpreted as an integer"),
+    ],
+    ids=["restarts=0", "max_iters=0", "seed=-5", "restarts=2.5", "max_iters=10.0", "seed=1.5", "seed=None"],
+)
+def test_config_validation(kwargs, error, match):
+    with pytest.raises(error, match=match):
+        OptimizerConfig(**kwargs)
+
+
+def test_config_takes_numpy_integers():
+    cfg = OptimizerConfig(restarts=np.int64(3), max_iters=np.int32(50), seed=np.uint8(7))
+    assert (cfg.restarts, cfg.max_iters, cfg.seed) == (3, 50, 7)
+    assert all(type(v) is int for v in (cfg.restarts, cfg.max_iters, cfg.seed))
 
 
 def test_normalized_cost():
     rep = minimize(trine(), 2, OptimizerConfig(restarts=1, max_iters=200))
-    assert normalized_cost(rep, 2) == rep.best_cost
-    assert abs(normalized_cost(rep, 4) - rep.best_cost / 2) < 1e-15
+    assert normalized_cost(rep) == rep.best_cost  # log2(2) = 1
+    rep = minimize(random_haar(4, 5, 3), 2, OptimizerConfig(restarts=1, max_iters=200))
+    assert abs(normalized_cost(rep) - rep.best_cost / 2) < 1e-15
     with pytest.raises(ValueError):
-        normalized_cost(rep, 1)
+        normalized_cost(minimize(Povm(np.ones((1, 1), dtype=complex)), 1, FAST))

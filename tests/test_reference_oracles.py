@@ -3,8 +3,9 @@
 Each reference is the straightforward loop the library computes in one
 array step; they must agree to a tolerance set by the float64 rounding of
 the changed summation order. The d = 2 zero-cost decision is checked
-against a backtracking perfect-matching search, which it must equal, and
-the compact L-BFGS memory against the two-loop recursion.
+against a backtracking perfect-matching search, which it must equal, the
+compact L-BFGS memory against the two-loop recursion, and the completion
+chart, bit for bit, against the de x de Gram-Schmidt basis it replaced.
 """
 
 from collections import deque
@@ -29,7 +30,7 @@ from naimark_lab import (
     zero_cost_decide_d2,
 )
 from naimark_lab.bounds import _necessary_margins, _orthogonal
-from naimark_lab.naimark import _complete_rows
+from naimark_lab.naimark import _chart, _complete_rows
 from naimark_lab.optimize import _MEMORY, _Memory
 from naimark_lab.povm import ZERO_NORM_SQ
 from conftest import haar_unitary, kpom, n_d3, pairing_is_valid, qubit_sic, two_basis_mixture
@@ -106,6 +107,39 @@ def test_complete_rows_of_a_full_unitary_is_that_unitary():
     for n in (1, 2, 3, 6):
         W = haar_unitary(n, rng)
         assert np.array_equal(_complete_rows(W), W)
+
+
+def default_block_basis(P, e):
+    """The de x de default basis: the zero-padded element block completed in index order."""
+    return gram_schmidt_complete(padded(P, e))
+
+
+def chart_grid():
+    """(P, e): 20 Haar POVMs at each d = 2..4, m = d+1..3d+1, e = ceil(m/d)..m+1; the trine at e = 2..4."""
+    for d in (2, 3, 4):
+        for m in range(d + 1, 3 * d + 2):
+            for e in range(-(-m // d), m + 2):
+                for seed in range(20):
+                    yield random_haar(d, m, seed), e
+    for e in (2, 3, 4):
+        yield trine(), e
+
+
+def test_chart_matches_the_default_block_basis():
+    # X0 is the basis's completion block on the firing rows, B and Q0 its thin
+    # SVD, and the default extension keeps the basis's firing rows
+    count = 0
+    for P, e in chart_grid():
+        L = default_block_basis(P, e)
+        U, s, Vh = np.linalg.svd(L[: P.m, P.d :], full_matrices=False)
+        r = P.m - P.d
+        X0, B, Q0 = _chart(P, e)
+        assert np.array_equal(X0, L[: P.m, P.d :]), (P.d, P.m, e)
+        assert np.array_equal(B, U[:, :r] * s[:r]), (P.d, P.m, e)
+        assert np.array_equal(Q0, Vh[:r]), (P.d, P.m, e)
+        assert np.array_equal(construct_default(P, e).basis[: P.m], L[: P.m]), (P.d, P.m, e)
+        count += 1
+    assert count == 2803
 
 
 def validate_extension_loop(N, P):
