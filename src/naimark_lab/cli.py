@@ -22,6 +22,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .bounds import _ZERO_TOL_FLOOR, best_bound, zero_cost_decide_d2, zero_cost_necessary
+from .naimark import _COMPLETE_TOL
 from .optimize import (
     CostReport,
     OptimizerConfig,
@@ -57,11 +58,11 @@ def load_povm(path: str) -> Povm:
             [complex(float(re), float(im)) for re, im in row] for row in doc["elements"]
         ]
         matrix = np.array(rows, dtype=complex)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise PovmFileError(f"malformed POVM file {path!r}: {exc}") from exc
-    if matrix.ndim != 2 or matrix.shape[1] != d:
+    if d < 1 or matrix.ndim != 2 or matrix.shape[1] != d:
         raise PovmFileError(
-            f"malformed POVM file {path!r}: expected m rows of {d} coefficient pairs"
+            f"malformed POVM file {path!r}: expected d >= 1 and m rows of d = {d} coefficient pairs"
         )
     try:
         return Povm(matrix)
@@ -131,6 +132,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_cost(args: argparse.Namespace) -> int:
     cfg = _optimizer_config(args.restarts, _default_seed(args.seed))
+    if args.tol > _COMPLETE_TOL:  # a negative or NaN tol fails in _load_checked
+        raise ValueError(
+            f"--tol must be <= {_COMPLETE_TOL:g} for cost, whose Naimark completion needs "
+            f"columns orthonormal within it; got {args.tol}"
+        )
     P = _load_checked(args.path, args.tol)
     # --e alone is the one-point sweep E..E
     e_max = args.e if args.e_max is None else args.e_max

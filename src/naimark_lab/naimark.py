@@ -78,8 +78,11 @@ def _chart(P: Povm, e: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     d, m = P.d, P.m
     if d * e < m:
         raise ValueError(f"capacity d*e = {d * e} < m = {m}")
-    if np.abs(P.matrix.conj().T @ P.matrix - np.eye(d)).max() > _COMPLETE_TOL:
-        raise ValueError("input columns are not orthonormal within tol")
+    residual = np.abs(P.matrix.conj().T @ P.matrix - np.eye(d)).max()
+    if residual > _COMPLETE_TOL:
+        raise ValueError(
+            f"input columns are not orthonormal within {_COMPLETE_TOL:g} (residual {residual:.3e})"
+        )
     block = np.zeros((d * e, d), dtype=complex)
     block[:m] = P.matrix
     X0 = np.zeros((m, d * (e - 1)), dtype=complex)
@@ -109,7 +112,7 @@ def construct_completion(P: Povm, e: int, Q: np.ndarray) -> NaimarkExtension:
     r, n = B.shape[1], P.d * (e - 1)
     if Q.shape != (r, n):
         raise ValueError(f"Q must be {r} x {n}")
-    if r and np.abs(Q @ Q.conj().T - np.eye(r)).max() > 1e-10:
+    if np.abs(Q @ Q.conj().T - np.eye(r)).max(initial=0.0) > 1e-10:
         raise ValueError("Q does not have orthonormal rows within 1e-10")
     return _extension(P, e, B @ Q)
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -86,14 +86,31 @@ class RestartRecord:
 
 @dataclass(frozen=True)
 class CostReport:
-    e_used: int
-    best_cost: float
+    """The best extension, its cost breakdown and how each restart ran; the rest derives."""
+
     best_extension: NaimarkExtension
     breakdown: ExtensionCostBreakdown
-    restarts_run: int
-    converged: bool
-    history: list = field(default_factory=list)  # per-restart final values
-    restarts: tuple = ()  # one RestartRecord per restart; none without completion freedom
+    restarts: tuple  # one RestartRecord per restart
+
+    @property
+    def e_used(self) -> int:
+        return self.best_extension.e
+
+    @property
+    def best_cost(self) -> float:
+        return self.breakdown.total
+
+    @property
+    def history(self) -> list[float]:
+        return [rec.value for rec in self.restarts]
+
+    @property
+    def restarts_run(self) -> int:
+        return len(self.restarts)
+
+    @property
+    def converged(self) -> bool:  # whether the first restart of least value met a tolerance
+        return min(self.restarts, key=operator.attrgetter("value")).stop in _CONVERGED
 
 
 def _start_points(Q0: np.ndarray, cfg: OptimizerConfig) -> list[np.ndarray]:
@@ -287,7 +304,7 @@ def _lbfgs(x: np.ndarray, max_iters: int):
     f, g = yield x
     evaluations, iterations = 1, 0
     memory = _Memory(len(x))
-    grad_norm = float(np.abs(g).max())
+    grad_norm = float(np.abs(g).max(initial=0.0))
     stop = "grad_tol" if grad_norm <= _GRAD_TOL else None
     while stop is None:
         d = memory.direction(g)
@@ -308,7 +325,7 @@ def _lbfgs(x: np.ndarray, max_iters: int):
         if sy > np.finfo(float).eps * yy:
             memory.append(s, y, sy, yy)
         x, f, g, f_old = x_new, f_new, g_new, f
-        grad_norm = float(np.abs(g).max())
+        grad_norm = float(np.abs(g).max(initial=0.0))
         if grad_norm <= _GRAD_TOL:
             stop = "grad_tol"
         elif f_old - f <= _OBJECTIVE_TOL * max(abs(f_old), abs(f), 1.0):
@@ -325,11 +342,11 @@ def _search(charts: _Charts, starts, d, e, max_iters: int) -> list[tuple]:
     interleaved. Each round stacks the pending point of every start still
     running and evaluates the stack in one call of _cost_and_grad; a
     finished start leaves the stack. Returns each start's _lbfgs result,
-    in the order of starts.
+    in the order of starts, with its final point as the complex Z (r, n).
     """
     starts = np.stack(starts)
     R, r, n = starts.shape
-    runs = [_lbfgs(x, max_iters) for x in starts.view(float).reshape(R, -1)]
+    runs = [_lbfgs(x, max_iters) for x in starts.view(float).reshape(R, 2 * r * n)]
     pending = {k: next(run) for k, run in enumerate(runs)}
     results = [None] * R
     live = []
@@ -339,52 +356,31 @@ def _search(charts: _Charts, starts, d, e, max_iters: int) -> list[tuple]:
             stack = charts.take(live)
         X = np.stack(list(pending.values()))
         F, G = _cost_and_grad(X.view(complex).reshape(len(X), r, n), stack, d, e)
-        for k, f, g in zip(live, F, G.view(float).reshape(len(X), -1)):
+        for k, f, g in zip(live, F, G.view(float).reshape(len(X), 2 * r * n)):
             try:
                 pending[k] = runs[k].send((float(f), g))
             except StopIteration as done:
-                results[k] = done.value
+                results[k] = (done.value[0].view(complex).reshape(r, n), *done.value[1:])
                 del pending[k]
     return results
 
 
-def _report(P: Povm, e: int, B, Q, runs) -> CostReport:
-    """The CostReport of P at e from the _lbfgs results of its restarts.
+def _report(P: Povm, e: int, B, runs) -> CostReport:
+    """The CostReport of P at e from the _search results of its restarts.
 
-    B and Q are P's chart at e; a run's Z may be zero-padded past
-    Q's columns, and only its own columns are kept. Without runs (no
-    completion freedom) the one completion B Q is evaluated.
+    B is P's chart at e; a run's Z may be zero-padded past P's own
+    d(e - 1) columns, and only those are kept.
     """
-    r, n = Q.shape
-    history, converged, records = [], True, ()
-    if runs:
-        records = tuple(
-            RestartRecord("default" if k == 0 else f"seed+{k}", *run[1:])
-            for k, run in enumerate(runs)
-        )
-        history = [rec.value for rec in records]
-        best = history.index(min(history))
-        converged = records[best].stop in _CONVERGED
-        Q = _polar(runs[best][0].view(complex).reshape(1, r, -1)[..., :n])[0][0]
-
-    ext = _extension(P, e, B @ Q)
-    breakdown = extension_cost(ext, canonical_distribution(P))
-    if not history:  # no completion freedom: one evaluation
-        history = [breakdown.total]
-    return CostReport(
-        e_used=e,
-        best_cost=breakdown.total,
-        best_extension=ext,
-        breakdown=breakdown,
-        restarts_run=len(history),
-        converged=converged,
-        history=history,
-        restarts=records,
+    Z = min(runs, key=operator.itemgetter(1))[0]  # the first restart of least value
+    ext = _extension(P, e, B @ _polar(Z[None, :, : P.d * (e - 1)])[0][0])
+    records = tuple(
+        RestartRecord("default" if k == 0 else f"seed+{k}", *run[1:]) for k, run in enumerate(runs)
     )
+    return CostReport(ext, extension_cost(ext, canonical_distribution(P)), records)
 
 
 def _stack(problems: list[tuple[Povm, int]], spaces, cfg: OptimizerConfig):
-    """Charts and start points of every restart of every (P, e), all of one (d, m) with m > d.
+    """Charts and start points of every restart of every (P, e), all of one (d, m).
 
     spaces holds each problem's (B, Q0). Problem i's restarts are starts
     i*R .. i*R + R - 1, each on its problem's chart, with its own default
@@ -399,10 +395,8 @@ def _stack(problems: list[tuple[Povm, int]], spaces, cfg: OptimizerConfig):
     for i, (_, Q) in enumerate(spaces):
         starts[i * R : (i + 1) * R, :, : Q.shape[1]] = _start_points(Q, cfg)
 
-    def per_start(arrays):
-        # each problem's array repeated for its R restarts; a view for one problem
-        a = np.stack(arrays)
-        return np.broadcast_to(a[:, None], (len(a), R, *a.shape[1:])).reshape(-1, *a.shape[1:])
+    def per_start(arrays):  # each problem's array repeated for its R restarts
+        return np.stack(arrays).repeat(R, axis=0)
 
     widths = [Q.shape[1] for _, Q in spaces]
     charts = _Charts(
@@ -415,19 +409,14 @@ def _stack(problems: list[tuple[Povm, int]], spaces, cfg: OptimizerConfig):
 
 
 def _minimize_stack(problems: list[tuple[Povm, int]], cfg: OptimizerConfig) -> list[CostReport]:
-    """Minimize each (P, e) of problems, all of one (d, m), as one lockstep stack (see _stack).
-
-    Returns one report per problem, in order.
-    """
-    d, m = problems[0][0].d, problems[0][0].m
+    """One report per (P, e) of problems, in order; all of one (d, m), searched as one stack."""
     spaces = [_chart(P, e)[1:] for P, e in problems]
-    runs = [()] * len(problems)
-    if m > d:
-        charts, starts, e_top = _stack(problems, spaces, cfg)
-        flat = _search(charts, starts, d, e_top, cfg.max_iters)
-        R = cfg.restarts
-        runs = [flat[i * R : (i + 1) * R] for i in range(len(problems))]
-    return [_report(P, e, B, Q, run) for (P, e), (B, Q), run in zip(problems, spaces, runs)]
+    charts, starts, e_top = _stack(problems, spaces, cfg)
+    runs = _search(charts, starts, problems[0][0].d, e_top, cfg.max_iters)
+    R = cfg.restarts
+    return [
+        _report(P, e, spaces[i][0], runs[i * R : (i + 1) * R]) for i, (P, e) in enumerate(problems)
+    ]
 
 
 def minimize(P: Povm, e: int, cfg: OptimizerConfig = OptimizerConfig()) -> CostReport:
@@ -437,7 +426,7 @@ def minimize(P: Povm, e: int, cfg: OptimizerConfig = OptimizerConfig()) -> CostR
     with cfg.seed + k; ties between restarts resolve to the lowest index.
     The report keeps a RestartRecord of how each restart ran.
     A von Neumann measurement (m = d, so r = 0) leaves the firing rows no
-    completion freedom: its single completion is evaluated once.
+    completion freedom: each restart stops at grad_tol after one evaluation.
     """
     return _minimize_stack([(P, e)], cfg)[0]
 

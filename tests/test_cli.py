@@ -9,7 +9,7 @@ import pytest
 from naimark_lab import OptimizerConfig, Povm, best_bound, minimize, random_haar, trine, validate
 from naimark_lab import optimize
 from naimark_lab.cli import SEED_ENV_VAR, load_povm, main, save_povm
-from conftest import TRINE_EXACT, kpom, qubit_sic
+from conftest import TRINE_EXACT, haar_unitary, kpom, qubit_sic
 
 
 def write_povm(tmp_path, P, name="p.json"):
@@ -64,6 +64,35 @@ def test_validate_output(tmp_path, capsys):
     assert "VALID" in out and "INVALID" not in out
 
 
+def test_validate_names_zero_norm_elements(tmp_path, capsys):
+    P = Povm(np.vstack([trine().matrix, np.zeros((1, 2))]))
+    assert main(["validate", write_povm(tmp_path, P)]) == 0
+    out = capsys.readouterr().out
+    assert "zero-norm elements (1-based): 4" in out
+    assert out.rstrip().endswith("VALID")
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        pytest.param('{"d": 2}', id="no-elements"),
+        pytest.param('{"d": 2, "elements": 5}', id="elements-not-a-list"),
+        pytest.param('{"d": "two", "elements": [[[1, 0]]]}', id="d-not-a-number"),
+        pytest.param('{"d": 2, "elements": [[[1, 0], [0, 0]]]}', id="fewer-rows-than-d"),
+        pytest.param('{"d": 1e400, "elements": [[[1, 0]]]}', id="d-overflows"),
+        pytest.param('{"d": 0, "elements": [[]]}', id="d-zero"),
+    ],
+)
+def test_malformed_povm_file_exit_2(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(doc)
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: malformed POVM file {str(path)!r}")
+
+
 def test_cost_json_fields(tmp_path, capsys):
     path = write_povm(tmp_path, trine())
     assert main(["cost", path, "--e", "2", "--restarts", "4", "--json"]) == 0
@@ -81,6 +110,22 @@ def test_cost_json_fields(tmp_path, capsys):
     for run in runs:
         assert set(run) == {"start", "value", "grad_norm", "iterations", "evaluations", "stop"}
         assert run["stop"] in ("grad_tol", "objective_tol", "max_iters", "line_search")
+
+
+def test_cost_text_output(tmp_path, capsys):
+    assert main(["cost", write_povm(tmp_path, trine()), "--e", "2", "--restarts", "4"]) == 0
+    out = capsys.readouterr().out
+    assert "best cost: 0.496005034 ebits (e = 2)" in out
+    assert "  outcome 3: weight 0.333333, entanglement 0.000000" in out
+    assert "restarts: 4, converged: True" in out
+    # a von Neumann measurement runs every restart too, each stopping at its start
+    vn = write_povm(tmp_path, Povm(haar_unitary(2, np.random.default_rng(3))), "vn.json")
+    assert main(["cost", vn, "--e", "2", "--restarts", "3"]) == 0
+    assert "restarts: 3, converged: True" in capsys.readouterr().out
+    assert main(["cost", vn, "--e", "2", "--restarts", "3", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["restarts_run"] == len(doc["restarts"]) == 3
+    assert {run["stop"] for run in doc["restarts"]} == {"grad_tol"}
 
 
 def test_cost_rejects_invalid_povm(tmp_path):
@@ -174,6 +219,16 @@ def test_zero_cert_bad_tolerance_exit_2(tmp_path, capsys):
     # a negative tolerance is rejected before the file is read
     assert main(["zero-cert", str(tmp_path / "missing.json"), "--tol", "-1"]) == 2
     assert "--tol must be >= 0" in capsys.readouterr().err
+
+
+def test_zero_cert_notes_merged_elements(tmp_path, capsys):
+    # elements 1 and 2 are parallel: the d = 2 decision sees their merge, m = 2
+    s = np.sqrt(0.5)
+    path = write_povm(tmp_path, Povm(np.array([[s, 0], [s, 0], [0, 1]], dtype=complex)))
+    assert main(["zero-cert", path]) == 0
+    out = capsys.readouterr().out
+    assert "note: margins refer to the POVM after merging parallel elements (m = 2)" in out
+    assert "margin mu = 3" not in out and "decision: ZERO" in out
 
 
 def test_zero_cert_d3_necessary_only(tmp_path, capsys):
@@ -359,6 +414,11 @@ def test_tensor_rejects_trivial_factor(tmp_path):
                      id="random-scan-capacity-before-loop"),
         pytest.param(["zero-cert", "{povm}", "--tol", "1e-13"], None, 2,
                      "--tol must be >= 1e-12 for zero-cert", id="zero-cert-tol-below-rounding"),
+        # rejected before the file is read: the completions check columns at 1e-7
+        pytest.param(["cost", "{missing}", "--e", "2", "--tol", "0.1"], None, 2,
+                     "--tol must be <= 1e-07 for cost", id="cost-tol-above-completion-gate"),
+        pytest.param(["random-scan", "--d", "2", "--m", "3", "--count", "-1", "--out", "{out}"],
+                     None, 2, "--count must be >= 0", id="random-scan-negative-count"),
     ],
 )
 def test_error_exit_contract(tmp_path, capsys, monkeypatch, argv, env, code, message):
@@ -367,6 +427,7 @@ def test_error_exit_contract(tmp_path, capsys, monkeypatch, argv, env, code, mes
         "{povm}": write_povm(tmp_path, trine()),
         "{scaled}": write_povm(tmp_path, Povm(trine().matrix * 0.9), "scaled.json"),
         "{out}": str(tmp_path / "out.csv"),
+        "{missing}": str(tmp_path / "missing.json"),
     }
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     if env is not None:

@@ -4,6 +4,7 @@ import pytest
 from naimark_lab import (
     NaimarkExtension,
     Povm,
+    bound_prop5,
     canonical_distribution,
     compress_ancilla,
     construct_completion,
@@ -113,8 +114,10 @@ def test_default_completion_of_a_near_valid_povm_is_unitary(scale):
 
 
 def test_default_completion_rejects_an_invalid_povm():
-    with pytest.raises(ValueError, match="not orthonormal"):
+    with pytest.raises(ValueError, match="not orthonormal") as exc:
         construct_default(Povm(trine().matrix * 1.01), 2)
+    # the message names the gate and the residual, 1.01^2 - 1
+    assert "within 1e-07 (residual 2.010e-02)" in str(exc.value)
 
 
 def test_validate_extension_detects_corruption():
@@ -211,6 +214,39 @@ def test_prop5_extension_validates_at_every_element_direction(d, m):
             ext, predicted = prop5_extension(P, k / np.linalg.norm(k))
             assert validate_extension(ext, P).ok
             assert abs(extension_cost(ext, w).total - predicted) < 1e-9
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_prop5_family_is_a_curve_in_the_chart(d):
+    # at e = m + 1 the chart point Q = I_(r x m) (x) zeta^T makes row nu of B Q the
+    # product xi_nu (x) zeta, xi_nu = B[nu] on ancilla levels 1..r: the row is
+    # |k_nu>|a_0> + |zeta>|xi_nu>, the one-extra-direction extension at zeta
+    # (a random zeta and two element directions)
+    rng = np.random.default_rng(d)
+    for m in range(d + 1, 3 * d + 2):
+        P = random_haar(d, m, seed=10 * d + m)
+        w = canonical_distribution(P)
+        z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        for zeta in (z / np.linalg.norm(z), *(k / np.linalg.norm(k) for k in P.matrix[:2])):
+            N = construct_completion(P, m + 1, np.kron(np.eye(m - d, m), zeta[None]))
+            assert validate_extension(N, P).ok
+            cost = extension_cost(N, w).total
+            assert abs(cost - bound_prop5(P, zeta)) < 1e-13, (m, zeta)
+            assert abs(cost - extension_cost(prop5_extension(P, zeta)[0], w).total) < 1e-13
+
+
+def test_prop5_family_is_the_whole_chart_at_d2_m3_e2():
+    # r = 1 and Q is one unit row of C^2: every chart point is Q = zeta^T, and
+    # it costs bound_prop5(P, zeta), so E_min at e = 2 is the minimum of that bound
+    rng = np.random.default_rng(23)
+    for seed in range(10):
+        P = random_haar(2, 3, seed=seed)
+        w = canonical_distribution(P)
+        for _ in range(5):
+            zeta = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            zeta /= np.linalg.norm(zeta)
+            cost = extension_cost(construct_completion(P, 2, zeta[None]), w).total
+            assert abs(cost - bound_prop5(P, zeta)) < 1e-14, seed
 
 
 def test_prop5_zeta_parallel_to_element_zeroes_its_term():

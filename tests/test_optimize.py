@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -53,10 +55,13 @@ def test_objective_zero_for_von_neumann_any_params():
     for _ in range(5):
         N = construct_completion(P, 2, haar_unitary(2, rng)[:0])  # r = m - d = 0 rows
         assert extension_cost(N, canonical_distribution(P)).total < 1e-10
-    # m = d leaves no completion freedom in the firing rows: one evaluation
+    # m = d leaves no completion freedom in the firing rows: every restart searches
+    # zero parameters and stops at its first evaluation
     rep = minimize(P, 2, FAST)
     assert rep.best_cost < 1e-10
-    assert rep.restarts_run == 1 and len(rep.history) == 1
+    assert rep.restarts_run == len(rep.restarts) == len(rep.history) == FAST.restarts
+    for rec in rep.restarts:
+        assert (rec.stop, rec.iterations, rec.evaluations, rec.grad_norm) == ("grad_tol", 0, 1, 0.0)
 
 
 def test_cost_and_grad_matches_central_differences():
@@ -121,8 +126,9 @@ def test_restart_records_and_stop_reasons():
     assert all(rec.stop in ("grad_tol", "objective_tol") for rec in rep.restarts)
     best = rep.restarts[rep.history.index(min(rep.history))]
     assert best.grad_norm < 1e-5 and 0 < best.iterations < best.evaluations
-    # no completion freedom: no search ran, so there are no records
-    assert minimize(Povm(haar_unitary(2, np.random.default_rng(3))), 2, FAST).restarts == ()
+    # no completion freedom: every restart stops at its start
+    vn = minimize(Povm(haar_unitary(2, np.random.default_rng(3))), 2, FAST)
+    assert [rec.stop for rec in vn.restarts] == ["grad_tol"] * FAST.restarts
 
 
 def drive_lbfgs(fun, x, max_iters=100):
@@ -239,7 +245,9 @@ def test_minimize_over_e_ties_go_to_the_smallest_e(monkeypatch):
     # the qubit SIC's one-restart costs at e = 2..5 agree to ~1e-15; only the
     # rounding decides which is lowest, so the sweep keeps the smallest e
     def fake_stack(problems, cfg):
-        return [CostReport(e, costs[e], None, None, 1, True) for _, e in problems]
+        return [
+            CostReport(SimpleNamespace(e=e), SimpleNamespace(total=costs[e]), ()) for _, e in problems
+        ]
 
     monkeypatch.setattr(optimize, "_minimize_stack", fake_stack)
     costs = {2: 0.37200377562484305, 3: 0.372003775624843, 4: 0.37200377562484443, 5: 0.3720037756248432}
@@ -303,9 +311,11 @@ def test_minimize_many_stacks_at_most_the_cap(monkeypatch):
 
 def test_minimize_over_e_von_neumann_trivial():
     P = Povm(haar_unitary(3, np.random.default_rng(7)))
-    # e = 1 leaves no completion freedom: a single deterministic evaluation
+    # e = 1 leaves no completion freedom: each restart is one evaluation
     one = minimize(P, 1, OptimizerConfig(restarts=5, max_iters=10))
-    assert one.restarts_run == 1 and len(one.history) == 1
+    assert one.restarts_run == len(one.history) == 5
+    for rec in one.restarts:
+        assert (rec.stop, rec.iterations, rec.evaluations) == ("grad_tol", 0, 1)
     assert one.converged
     assert one.best_cost < 1e-12
     rep = minimize_over_e(P, cfg=OptimizerConfig(restarts=1, max_iters=10))
