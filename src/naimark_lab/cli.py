@@ -247,9 +247,10 @@ def cmd_random_scan(args: argparse.Namespace) -> int:
         raise ValueError(f"--e {args.e} is too small: d*e = {args.d * args.e} < m = {args.m}")
     seed = _default_seed(args.seed)
     cfg = _optimizer_config(args.restarts, seed)
-    # best_bound's one-extra-direction witness needs e >= m + 1; below that
-    # the element-count and dimension caps are the bounds to hold the cost to
-    use_best = args.e >= args.m + 1
+    # every best_bound probe is an achieved cost from e = m - d + 1 on: the chart
+    # point I_r (x) zeta^T there costs bound_prop5(P, zeta); below that the
+    # element-count and dimension caps are the bounds to hold the cost to
+    use_best = args.e >= args.m - args.d + 1
     cap_name = "best_bound" if use_best else "min(bound_m, bound_d)"
     rows: list[tuple[int, float, float, float, float]] = []
     excesses: list[float] = []

@@ -31,7 +31,7 @@ def gram_schmidt_complete(cols: ComplexMatrix) -> ComplexMatrix:
     if k > n:
         raise ValueError(f"cannot complete {k} columns in dimension {n}")
     gram = cols.conj().T @ cols
-    if k > 0 and np.abs(gram - np.eye(k)).max() > 1e-10:
+    if k > 0 and not np.abs(gram - np.eye(k)).max() <= 1e-10:  # NaN fails too
         raise ValueError("input columns are not orthonormal within 1e-10")
     return orthonormal_extend(cols, np.eye(n, dtype=complex))
 
@@ -66,9 +66,11 @@ def orthonormal_extend(cols: ComplexMatrix, candidates: ComplexMatrix) -> Comple
 
 def _domain_error(name: str, x: np.ndarray, bad: np.ndarray, domain: str) -> ValueError:
     """ValueError naming the first flagged value of x, with its index for an array."""
+    idx = tuple(int(i) for i in np.argwhere(bad)[0]) if x.ndim else ()
+    if np.isnan(x[idx]):
+        domain = "is not a number"
     if x.ndim == 0:
         return ValueError(f"{name} argument {x} {domain}")
-    idx = tuple(int(i) for i in np.argwhere(bad)[0])
     where = idx[0] if x.ndim == 1 else idx
     return ValueError(f"{name} argument {x[idx]} at index {where} {domain}")
 
@@ -79,7 +81,7 @@ def binary_entropy(x: float | np.ndarray) -> float | np.ndarray:
     Works elementwise on arrays; a scalar argument gives a float.
     """
     x = np.asarray(x, dtype=float)
-    bad = (x < -1e-12) | (x > 1 + 1e-12)
+    bad = ~((x >= -1e-12) & (x <= 1 + 1e-12))  # NaN is bad too
     if bad.any():
         raise _domain_error("binary_entropy", x, bad, "outside [0, 1]")
     x = np.clip(x, 0.0, 1.0)

@@ -14,6 +14,11 @@ r x d(e-1) matrix with orthonormal rows, one Q per X. That Q is the one
 chart of the extensions: construct_completion builds the extension at Q,
 and the cost optimizer searches over it. The rows past m are any
 orthonormal complement of the firing rows.
+
+A row's entanglement is the entropy of its reduced state on the system,
+and one batched kernel, _row_entropies, takes it from a stack of reduced
+states: extension_cost forms them from the rows, the optimizer from the
+element block's fixed share and the completion's.
 """
 
 from __future__ import annotations
@@ -79,7 +84,7 @@ def _chart(P: Povm, e: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if d * e < m:
         raise ValueError(f"capacity d*e = {d * e} < m = {m}")
     residual = np.abs(P.matrix.conj().T @ P.matrix - np.eye(d)).max()
-    if residual > _COMPLETE_TOL:
+    if not residual <= _COMPLETE_TOL:
         raise ValueError(
             f"input columns are not orthonormal within {_COMPLETE_TOL:g} (residual {residual:.3e})"
         )
@@ -112,7 +117,7 @@ def construct_completion(P: Povm, e: int, Q: np.ndarray) -> NaimarkExtension:
     r, n = B.shape[1], P.d * (e - 1)
     if Q.shape != (r, n):
         raise ValueError(f"Q must be {r} x {n}")
-    if np.abs(Q @ Q.conj().T - np.eye(r)).max(initial=0.0) > 1e-10:
+    if not np.abs(Q @ Q.conj().T - np.eye(r)).max(initial=0.0) <= 1e-10:  # NaN fails too
         raise ValueError("Q does not have orthonormal rows within 1e-10")
     return _extension(P, e, B @ Q)
 
@@ -143,25 +148,22 @@ def validate_extension(N: NaimarkExtension, P: Povm) -> ExtensionReport:
     return ExtensionReport(ok=ok, unitarity_residual=unit, form_residual=form)
 
 
-def _row_entropies(rows: np.ndarray, d: int, e: int, grad: bool = False):
+def _row_entropies(rho: np.ndarray, grad: bool = False):
     """Entanglement entropy in bits of each row across the system/ancilla cut.
 
-    rows is (k, de), ancilla-major; the reduced states rho_nu = A^T A^* of
-    the (e, d) reshapes A are diagonalized in one batched eigh. With
-    grad=True, also returns Gamma (k, de) with dS_nu = 2 Re <Gamma_nu, dA_nu>:
-    S is a trace function, so dS = Tr(G drho) with G = -(log2 rho + 1/ln 2),
-    and Gamma_nu = A_nu conj(G_nu).
+    rho is (k, d, d), the rows' reduced states: row nu's is rho_nu = A^T A^*
+    of its (e, d) reshape A, ancilla-major. One batched eigh diagonalizes
+    the stack. With grad=True, also returns V (k, d, d) and
+    g = log2(lam) + 1/ln 2 (k, d): S is a trace function, so dS = Tr(G drho)
+    with G = -(log2 rho + 1/ln 2) = -V diag(g) V^dag.
     """
-    A = rows.reshape(-1, e, d)
-    rho = np.einsum("kia,kib->kab", A, A.conj())
     lam, V = np.linalg.eigh(rho)
     lam = np.clip(lam, 0.0, 1.0)
     log_lam = np.log2(np.maximum(lam, _LOG_FLOOR))
     S = -(lam * log_lam).sum(axis=1) + 0.0  # squash -0.0
     if not grad:
         return S
-    G = -(V * (log_lam + 1 / np.log(2))[:, None, :]) @ V.conj().transpose(0, 2, 1)
-    return S, (A @ G.conj()).reshape(rows.shape)
+    return S, V, log_lam + 1 / np.log(2)
 
 
 def extension_cost(N: NaimarkExtension, weights: OutcomeDistribution) -> ExtensionCostBreakdown:
@@ -173,7 +175,8 @@ def extension_cost(N: NaimarkExtension, weights: OutcomeDistribution) -> Extensi
     weights = np.asarray(weights, dtype=float)
     if weights.size != N.m:
         raise ValueError("need one weight per POVM outcome")
-    ent = _row_entropies(N.basis[: N.m], N.d, N.e)
+    A = N.basis[: N.m].reshape(N.m, N.e, N.d)
+    ent = _row_entropies(np.einsum("kia,kib->kab", A, A.conj()))
     return ExtensionCostBreakdown(
         per_outcome_entanglement=ent, weights=weights, total=float(ent @ weights)
     )
@@ -198,7 +201,7 @@ def _complete_rows(W: np.ndarray) -> np.ndarray:
     extension the library builds is completed here.
     """
     m, n = W.shape
-    if np.abs(W @ W.conj().T - np.eye(m)).max() > _COMPLETE_TOL:
+    if not np.abs(W @ W.conj().T - np.eye(m)).max() <= _COMPLETE_TOL:  # NaN fails too
         raise ValueError("rows are not orthonormal within tol")
     U = np.empty((n, n), dtype=complex)
     U[:m] = W
@@ -210,7 +213,7 @@ def _check_zeta(P: Povm, zeta: np.ndarray) -> np.ndarray:
     zeta = np.asarray(zeta, dtype=complex).ravel()
     if zeta.size != P.d:
         raise ValueError("zeta has the wrong dimension")
-    if abs(np.vdot(zeta, zeta).real - 1) > 1e-10:
+    if not abs(np.vdot(zeta, zeta).real - 1) <= 1e-10:  # NaN fails too
         raise ValueError("zeta must be normalized")
     return zeta
 
@@ -268,7 +271,7 @@ def rotate_ancilla(N: NaimarkExtension, R: np.ndarray) -> NaimarkExtension:
     R = np.asarray(R, dtype=complex)
     if R.shape != (N.e, N.e):
         raise ValueError("R must act on the ancilla space")
-    if np.abs(R.conj().T @ R - np.eye(N.e)).max() > 1e-10:
+    if not np.abs(R.conj().T @ R - np.eye(N.e)).max() <= 1e-10:  # NaN fails too
         raise ValueError("R is not unitary within 1e-10")
     de = N.d * N.e
     rows = (R @ N.basis.reshape(de, N.e, N.d)).reshape(de, de)

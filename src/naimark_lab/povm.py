@@ -58,9 +58,9 @@ class Ensemble:
         if st.ndim != 2 or pr.ndim != 1 or st.shape[0] != pr.size:
             raise ValueError("states must be (n, d) with n matching probs")
         norms = np.linalg.norm(st, axis=1)
-        if np.abs(norms - 1).max() > 1e-10:
+        if not np.abs(norms - 1).max() <= 1e-10:  # NaN fails too
             raise ValueError("ensemble states must be normalized")
-        if pr.min() < 0 or abs(pr.sum() - 1) > 1e-12:
+        if not (pr.min() >= 0 and abs(pr.sum() - 1) <= 1e-12):
             raise ValueError("probs must be nonnegative and sum to 1")
         object.__setattr__(self, "states", st)
         object.__setattr__(self, "probs", pr)
@@ -164,7 +164,7 @@ def post_process(P: Povm, splits: list[list[float]]) -> Povm:
     rows = []
     for mu, probs in enumerate(splits):
         probs = np.asarray(probs, dtype=float)
-        if probs.min() < 0 or abs(probs.sum() - 1) > 1e-12:
+        if not (probs.min() >= 0 and abs(probs.sum() - 1) <= 1e-12):
             raise ValueError(f"split {mu} is not a probability distribution")
         for p in probs:
             rows.append(np.sqrt(p) * P.matrix[mu])
@@ -226,11 +226,11 @@ def refine_to_rank1(effects: list[np.ndarray]) -> Povm:
     effects = [np.asarray(a, dtype=complex) for a in effects]
     d = effects[0].shape[0]
     total = sum(effects)
-    if np.abs(total - np.eye(d)).max() > 1e-9:
+    if not np.abs(total - np.eye(d)).max() <= 1e-9:  # NaN fails too
         raise ValueError("effects do not sum to the identity")
     rows = []
     for a in effects:
-        if np.abs(a - a.conj().T).max() > 1e-10:
+        if not np.abs(a - a.conj().T).max() <= 1e-10:
             raise ValueError("effect is not Hermitian within 1e-10")
         lam, V = np.linalg.eigh(a)
         lam, V = lam[::-1], V[:, ::-1]

@@ -27,7 +27,7 @@ def f_curve(z: float | np.ndarray) -> float | np.ndarray:
     """
     z = np.asarray(z, dtype=float)
     arg = 4 * z + 5
-    bad = arg < 0
+    bad = ~(arg >= 0)  # NaN is bad too
     if bad.any():
         raise _domain_error("f_curve", z, bad, "below -1.25")
     return binary_entropy(0.5 + np.sqrt(arg) / 6)
@@ -75,14 +75,23 @@ def derivative_sign_scan(grid_points: int) -> DerivativeScan:
     """
     if grid_points < 100:
         raise ValueError("need at least 100 grid points")
-    thetas = np.linspace(0.0, np.pi / 3, grid_points)
-    h = thetas[1] - thetas[0]
-    values = trine_E_theta(thetas)
-    deriv = (trine_E_theta(thetas + h) - trine_E_theta(thetas - h)) / (2 * h)
+    thetas, values, deriv = _central_differences(grid_points)
     return DerivativeScan(
         monotone=bool(deriv.min() >= -1e-9),
         min_at=float(thetas[int(np.argmin(values))]),
     )
+
+
+def _central_differences(grid_points: int):
+    """The grid over [0, pi/3], E on it and E' there by central differences.
+
+    E is evaluated once, on the grid and one step past each end, and each
+    derivative is the difference of the grid point's neighbours.
+    """
+    thetas = np.linspace(0.0, np.pi / 3, grid_points)
+    h = thetas[1] - thetas[0]
+    ext = trine_E_theta(np.concatenate([[-h], thetas, [thetas[-1] + h]]))
+    return thetas, ext[1:-1], (ext[2:] - ext[:-2]) / (2 * h)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -270,11 +271,11 @@ def test_random_scan_csv(tmp_path, capsys):
     assert all(r[2] == 1 - 1 / 3 for r in rows)
     text = capsys.readouterr().out
     # the summary must agree with the table; a violation row warns, exit stays 0.
-    # At e = 2 < m + 1 the cap is min(bound_m, bound_d), not best_bound.
-    if any(r[1] > min(r[2], r[3]) + 1e-6 for r in rows):
+    # At e = 2 = m - d + 1 every best_bound probe is an achieved cost: it is the cap.
+    if any(r[1] > r[4] + 1e-6 for r in rows):
         assert "WARNING" in text
     else:
-        assert "all rows satisfy cost <= min(bound_m, bound_d) + 1e-6" in text
+        assert "all rows satisfy cost <= best_bound + 1e-6" in text
     assert "finding (d = 2, e = 2)" in text
 
 
@@ -322,13 +323,33 @@ def test_random_scan_rejects_m_below_d():
 
 
 def test_random_scan_e2_compares_with_caps_not_best_bound(tmp_path, capsys):
-    # best_bound (0.1524) lies below this POVM's e = 2 minimum; it holds only from e = m + 1
+    # best_bound (0.1524) lies below this POVM's e = 2 minimum; it holds only from e = m - d + 1 = 3
     out_csv = tmp_path / "scan.csv"
     assert main(["random-scan", "--d", "2", "--m", "4", "--count", "1", "--seed", "2050",
                  "--out", str(out_csv)]) == 0
     text = capsys.readouterr().out
     assert "WARNING" not in text
     assert "all rows satisfy cost <= min(bound_m, bound_d) + 1e-6" in text
+
+
+def test_random_scan_e2_warns_on_a_row_stuck_above_best_bound(tmp_path, capsys, monkeypatch):
+    # at d = 2, m = 3 every best_bound probe is an achieved cost from e = m - d + 1 = 2, so a
+    # search that stops between best_bound and the caps is stuck, and the scan must say so
+    seed = 11
+
+    def stuck(povms, e, cfg):
+        reports = []
+        for i, P in enumerate(povms):
+            bb = best_bound(P, seed=seed + i)
+            cap = min(bb.bound_element_count, bb.bound_dimension)
+            assert bb.value + 1e-3 < cap
+            reports.append(SimpleNamespace(best_cost=(bb.value + cap) / 2))
+        return reports
+
+    monkeypatch.setattr("naimark_lab.cli.minimize_many", stuck)
+    assert main(["random-scan", "--d", "2", "--m", "3", "--e", "2", "--count", "2",
+                 "--seed", str(seed), "--out", str(tmp_path / "scan.csv")]) == 0
+    assert "WARNING: 2 rows exceed best_bound + 1e-6" in capsys.readouterr().out
 
 
 def test_restarts_zero_exit_2(tmp_path, capsys):

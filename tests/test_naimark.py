@@ -18,7 +18,15 @@ from naimark_lab import (
     validate,
     validate_extension,
 )
-from naimark_lab.naimark import _chart
+from naimark_lab import (
+    Ensemble,
+    binary_entropy,
+    f_curve,
+    gram_schmidt_complete,
+    post_process,
+    refine_to_rank1,
+)
+from naimark_lab.naimark import _chart, _complete_rows
 from conftest import haar_unitary, kpom, partial_trace, von_neumann_entropy
 
 
@@ -325,3 +333,28 @@ def test_compress_ancilla_is_identity_at_minimal_e():
     N = construct_default(P, 2)
     C = compress_ancilla(N)
     assert C.e == 2
+
+
+NAN = float("nan")
+NAN_INPUTS = {
+    "prop5_extension zeta": lambda: prop5_extension(trine(), [NAN, 0]),
+    "bound_prop5 zeta": lambda: bound_prop5(trine(), [NAN, 0]),
+    "construct_completion Q": lambda: construct_completion(trine(), 2, [[NAN, 0]]),
+    "_complete_rows rows": lambda: _complete_rows(np.array([[NAN, 0, 0, 0]])),
+    "rotate_ancilla R": lambda: rotate_ancilla(construct_default(trine(), 2), [[NAN, 0], [0, 1]]),
+    "Ensemble state": lambda: Ensemble([[NAN, 0]], [1]),
+    "Ensemble probability": lambda: Ensemble([[1, 0]], [NAN]),
+    "binary_entropy": lambda: binary_entropy(NAN),
+    "binary_entropy array": lambda: binary_entropy([0.5, NAN]),
+    "f_curve": lambda: f_curve(NAN),
+    "gram_schmidt_complete": lambda: gram_schmidt_complete(np.array([[NAN], [0]])),
+    "post_process split": lambda: post_process(trine(), [[NAN], [1], [1]]),
+    "refine_to_rank1 effect": lambda: refine_to_rank1([NAN * np.eye(2)]),
+}
+
+
+@pytest.mark.parametrize("name", list(NAN_INPUTS))
+def test_nan_input_is_rejected(name):
+    # every tolerance gate is written as not (residual <= tol), which NaN fails
+    with pytest.raises(ValueError):
+        NAN_INPUTS[name]()

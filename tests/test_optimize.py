@@ -20,7 +20,7 @@ from naimark_lab import (
 )
 from naimark_lab import optimize
 from naimark_lab.naimark import _chart
-from naimark_lab.optimize import CostReport, _cost_and_grad, _lbfgs, _search, _stack
+from naimark_lab.optimize import CostReport, _cost_and_grad, _lbfgs, _search, _stack, _start_points
 from conftest import TRINE_EXACT, haar_unitary, kpom, qubit_sic, split_one, two_basis_mixture
 
 
@@ -111,6 +111,23 @@ def test_start_path_does_not_depend_on_its_stack(name):
         (alone,) = _search(charts.take([k]), starts[k : k + 1], d, e, 2000)
         assert np.array_equal(alone[0], together[0]), k
         assert alone[1:] == together[1:], k
+
+
+def test_seeded_starts_are_fresh_draws_kept_read_only():
+    Q0 = np.zeros((2, 6), dtype=complex)
+    cfg = OptimizerConfig(restarts=5, seed=7)
+    starts = _start_points(Q0, cfg)
+    assert starts[0] is Q0 and len(starts) == cfg.restarts
+    for k, Z in enumerate(starts[1:], 1):
+        rng = np.random.default_rng(cfg.seed + k)
+        fresh = rng.standard_normal(Q0.shape) + 1j * rng.standard_normal(Q0.shape)
+        assert np.array_equal(Z.view(float), fresh.view(float)), k
+        assert not Z.flags.writeable
+        with pytest.raises(ValueError):
+            Z[0, 0] = 0
+    # another search of the same shape and seed shares the draws
+    again = _start_points(np.ones((2, 6), dtype=complex), cfg)
+    assert all(a is b for a, b in zip(again[1:], starts[1:]))
 
 
 def test_restart_records_and_stop_reasons():

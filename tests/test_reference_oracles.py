@@ -4,8 +4,10 @@ Each reference is the straightforward loop the library computes in one
 array step; they must agree to a tolerance set by the float64 rounding of
 the changed summation order. The d = 2 zero-cost decision is checked
 against a backtracking perfect-matching search, which it must equal, the
-compact L-BFGS memory against the two-loop recursion, and the completion
-chart, bit for bit, against the de x de Gram-Schmidt basis it replaced.
+compact L-BFGS memory against the two-loop recursion, the completion
+chart, bit for bit, against the de x de Gram-Schmidt basis it replaced, and
+the search's cost and gradient against the whole-row form that forms every
+block of every row.
 """
 
 from collections import deque
@@ -15,6 +17,7 @@ import pytest
 
 from naimark_lab import (
     NaimarkExtension,
+    OptimizerConfig,
     Povm,
     best_bound,
     bound_dimension,
@@ -31,7 +34,7 @@ from naimark_lab import (
 )
 from naimark_lab.bounds import _necessary_margins, _orthogonal
 from naimark_lab.naimark import _chart, _complete_rows
-from naimark_lab.optimize import _MEMORY, _Memory
+from naimark_lab.optimize import _MEMORY, _Memory, _cost_and_grad, _polar, _stack
 from naimark_lab.povm import ZERO_NORM_SQ
 from conftest import haar_unitary, kpom, n_d3, pairing_is_valid, qubit_sic, two_basis_mixture
 
@@ -402,3 +405,68 @@ def test_compact_memory_matches_two_loop():
         pairs.clear()
         g = rng.standard_normal(n)
         assert np.array_equal(memory.direction(g), -g)
+
+
+def cost_and_grad_full_rows(Z, M, B, weights, d, e):
+    """Cost and Z-gradient of each start from its whole rows [M | B Q], Q = polar(Z).
+
+    Every row's reduced state is formed from all e of its blocks, and the
+    entropy gradient Gamma = A conj(G) on all of them, block 0 included,
+    before the completion blocks are pulled back to Q and through the polar map.
+    """
+    Q, U, sigma, Wh = _polar(Z)
+    rows = np.empty((len(Z), M.shape[1], d * e), dtype=complex)
+    rows[..., :d] = M
+    np.matmul(B, Q, out=rows[..., d:])
+    A = rows.reshape(-1, e, d)
+    lam, V = np.linalg.eigh(np.einsum("kia,kib->kab", A, A.conj()))
+    lam = np.clip(lam, 0.0, 1.0)
+    log_lam = np.log2(np.maximum(lam, 1e-300))
+    S = -(lam * log_lam).sum(axis=1)
+    G = -(V * (log_lam + 1 / np.log(2))[:, None, :]) @ V.conj().mT
+    Gamma = (A @ G.conj()).reshape(rows.shape)
+    GQ = B.conj().mT @ (weights[..., None] * Gamma[..., d:])
+    Gt = U.conj().mT @ GQ
+    Rt = Gt @ Wh.conj().mT
+    si = sigma[:, :, None]
+    K = (Rt - Rt.conj().mT) / (si + sigma[:, None, :])
+    GZ = U @ (K @ Wh + (Gt - Rt @ Wh) / si)
+    return (S.reshape(len(Z), -1) * weights).sum(axis=1), 2 * GZ
+
+
+KERNEL_STACKS = {
+    "trine e=2": [(trine(), 2)],
+    "kpom e=2": [(kpom(), 2)],
+    "haar d=2 m=3, three POVMs": [(random_haar(2, 3, s), 2) for s in (1, 2, 3)],
+    "haar d=3 m=4": [(random_haar(3, 4, 4), 2)],
+    "haar d=3 m=5 e=3": [(random_haar(3, 5, 7), 3)],
+    "haar d=2 m=5 e=4": [(random_haar(2, 5, 5), 4)],
+    "haar d=4 m=9 e=3": [(random_haar(4, 9, 6), 3)],
+    "SIC sweep e=2..5": [(qubit_sic(), e) for e in (2, 3, 4, 5)],
+    "haar d=3 m=5 sweep e=2..3": [(random_haar(3, 5, 9), e) for e in (2, 3)],
+    "von Neumann d=3": [(Povm(haar_unitary(3, np.random.default_rng(2))), 2)],
+}
+
+
+@pytest.mark.parametrize("name", list(KERNEL_STACKS))
+def test_cost_and_grad_matches_whole_rows(name):
+    problems = KERNEL_STACKS[name]
+    cfg = OptimizerConfig(restarts=4, seed=5)
+    charts, starts, e = _stack(problems, [_chart(P, e)[1:] for P, e in problems], cfg)
+    d = problems[0][0].d
+    M = np.stack([P.matrix for P, _ in problems]).repeat(cfg.restarts, axis=0)
+    rng = np.random.default_rng(11)
+    # the start points (the default completions among them), then random points of the stack
+    points = [starts]
+    for _ in range(5):
+        Z = rng.standard_normal(starts.shape) + 1j * rng.standard_normal(starts.shape)
+        if charts.pad is not None:
+            Z[np.broadcast_to(charts.pad, Z.shape)] = 0
+        points.append(Z)
+    for Z in points:
+        f, G = _cost_and_grad(Z, charts, d, e)
+        f_ref, G_ref = cost_and_grad_full_rows(Z, M, charts.B, charts.weights, d, e)
+        if charts.pad is not None:
+            G_ref[np.broadcast_to(charts.pad, G_ref.shape)] = 0
+        assert np.abs(f - f_ref).max() <= 1e-13
+        assert np.abs(G - G_ref).max(initial=0.0) <= 1e-10 * np.abs(G_ref).max(initial=0.0)

@@ -12,6 +12,7 @@ from naimark_lab import (
     trine_cost_exact,
     trine_curve,
 )
+from naimark_lab.trine_analytic import _central_differences
 from conftest import E_AT_PI_3, TRINE_EXACT
 
 
@@ -58,6 +59,19 @@ def test_derivative_sign_scan():
     assert scan.min_at == 0.0
     with pytest.raises(ValueError):
         derivative_sign_scan(99)
+
+
+def test_derivative_scan_evaluates_the_curve_once():
+    # one evaluation on the grid plus a step past each end: the grid values are the curve's
+    # bit for bit, and the neighbour differences stay within 3.2e-12 (measured) of
+    # differencing E(theta + h) and E(theta - h), far inside the -1e-9 monotonicity gate
+    thetas, values, deriv = _central_differences(10_000)
+    h = thetas[1] - thetas[0]
+    assert np.array_equal(values, trine_E_theta(thetas))
+    three = (trine_E_theta(thetas + h) - trine_E_theta(thetas - h)) / (2 * h)
+    assert np.abs(deriv - three).max() <= 1e-11
+    scan = derivative_sign_scan(10_000)
+    assert scan.monotone and scan.min_at == 0.0
 
 
 def test_concavity_check():
