@@ -36,8 +36,11 @@ _COMPLETE_TOL = 1e-7
 # Floor inside the logarithm of the row entropies: keeps log2 finite on
 # product rows, where the gradient still vanishes since sqrt(lam) log(lam) -> 0.
 _LOG_FLOOR = 1e-300
+_INV_LN2 = 1 / np.log(2)  # d(lam log2 lam)/d lam = log2 lam + 1/ln 2
 # validate_extension's bound on both residuals
 _EXTENSION_TOL = 1e-9
+# extension_cost's bound on |sum(weights) - 1|: canonical weights of a POVM valid at 1e-7
+_WEIGHT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -54,6 +57,8 @@ class NaimarkExtension:
         de = self.d * self.e
         if b.shape != (de, de):
             raise ValueError(f"basis must be {de} x {de}")
+        if not np.isfinite(b).all():
+            raise ValueError("basis must be finite")
         object.__setattr__(self, "basis", b)
 
 
@@ -158,12 +163,12 @@ def _row_entropies(rho: np.ndarray, grad: bool = False):
     with G = -(log2 rho + 1/ln 2) = -V diag(g) V^dag.
     """
     lam, V = np.linalg.eigh(rho)
-    lam = np.clip(lam, 0.0, 1.0)
+    lam = np.minimum(np.maximum(lam, 0.0), 1.0)
     log_lam = np.log2(np.maximum(lam, _LOG_FLOOR))
     S = -(lam * log_lam).sum(axis=1) + 0.0  # squash -0.0
     if not grad:
         return S
-    return S, V, log_lam + 1 / np.log(2)
+    return S, V, log_lam + _INV_LN2
 
 
 def extension_cost(N: NaimarkExtension, weights: OutcomeDistribution) -> ExtensionCostBreakdown:
@@ -175,6 +180,8 @@ def extension_cost(N: NaimarkExtension, weights: OutcomeDistribution) -> Extensi
     weights = np.asarray(weights, dtype=float)
     if weights.size != N.m:
         raise ValueError("need one weight per POVM outcome")
+    if not (weights.min() >= 0 and abs(weights.sum() - 1) <= _WEIGHT_TOL):  # NaN fails too
+        raise ValueError(f"weights must be non-negative and sum to 1 within {_WEIGHT_TOL:g}")
     A = N.basis[: N.m].reshape(N.m, N.e, N.d)
     ent = _row_entropies(np.einsum("kia,kib->kab", A, A.conj()))
     return ExtensionCostBreakdown(

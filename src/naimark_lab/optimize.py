@@ -9,18 +9,18 @@ through the polar map. A row's reduced state is its element block's share
 M_nu^T M_nu^*, fixed for the whole search and formed once per stack, plus
 its completion blocks' share X_nu^T X_nu^*; an evaluation forms only the
 latter, and differentiates only in X. Each L-BFGS run keeps its curvature
-pairs in the compact form of Byrd, Nocedal & Schnabel, so an iteration
-costs the same
+pairs in the compact form of Byrd, Nocedal & Schnabel, in a window that
+slides along buffers twice the memory long, so an iteration costs the same
 number of array operations at any memory size. All restarts run in
-lockstep: each is a generator that yields its next trial point, and one
-batched evaluation serves every restart still running. Each start
-carries its own chart (M, B, weights), so one stack also holds the
-restarts of many POVMs of one shape (minimize_many), or of every ancilla
-dimension of a sweep, zero-padded to the largest (minimize_over_e).
-Restart 0 starts at the default completion, later restarts at seeded
-complex Gaussian points, so more restarts are never worse. Results are
-upper estimates of the true minimum; the problem is not convex and no
-global certificate is claimed.
+lockstep: each is one generator, its line search included, that yields its
+next trial point, and one batched evaluation serves every restart still
+running. Each start carries its own chart (M, B, weights), so one stack
+also holds the restarts of many POVMs of one shape (minimize_many), or of
+every ancilla dimension of a sweep, zero-padded to the largest
+(minimize_over_e). Restart 0 starts at the default completion, later
+restarts at seeded complex Gaussian points, so more restarts are never
+worse. Results are upper estimates of the true minimum; the problem is not
+convex and no global certificate is claimed.
 """
 
 from __future__ import annotations
@@ -164,7 +164,7 @@ class _Charts(NamedTuple):
     B: np.ndarray  # (R, m, r)
     weights: np.ndarray  # (R, m)
     rho0: np.ndarray  # (R, m, d, d): M_nu^T M_nu^* of each row nu
-    pull: np.ndarray  # (R, r, m): -B^dag with column nu scaled by weights[nu]
+    pull: np.ndarray  # (R, r, m): -2 B^dag with column nu scaled by weights[nu]
     pad: np.ndarray | None  # (R, 1, n) bool; None when no start is padded
 
     def take(self, idx: list[int]) -> _Charts:
@@ -193,7 +193,8 @@ def _cost_and_grad(Z, charts: _Charts, d, e):
     X = (B @ Q).reshape(R * m, e - 1, d)
     S, V, g = _row_entropies(rho0.reshape(R * m, d, d) + X.mT @ X.conj(), grad=True)
     # dS_nu = -Tr(V diag(g) V^dag drho) with drho = dX^T X^* + X^T dX^*: the gradient
-    # in X_nu is -X_nu V^* diag(g) V^T, and pull holds the sign and the weights
+    # in X_nu is -X_nu V^* diag(g) V^T; pull holds the sign, the weights and the factor 2
+    # that makes Re G and Im G the derivatives in Re Z and Im Z
     GQ = pull @ ((X @ V.conj() * g[:, None, :]) @ V.mT).reshape(R, m, n)
     # adjoint of the polar map, in the frame of Z = U sigma W^dag: with
     # Gt = U^dag GQ and Rt = Gt W, row i of the bracket divided by sigma_i,
@@ -205,9 +206,9 @@ def _cost_and_grad(Z, charts: _Charts, d, e):
     GZ = U @ (K @ Wh + (Gt - Rt @ Wh) / si)
     if pad is not None:
         # zero already, up to rounding: an empty ancilla level enters the entropy at second order
-        GZ[np.broadcast_to(pad, GZ.shape)] = 0
+        np.copyto(GZ, 0, where=pad)
     # a per-row reduction: a matrix-vector product rounds differently with the stack size
-    return (S.reshape(R, m) * weights).sum(axis=1), 2 * GZ
+    return (S.reshape(R, m) * weights).sum(axis=1), GZ
 
 
 class _Memory:
@@ -220,60 +221,62 @@ class _Memory:
         N = [[R^-T (D + gamma Y Y^T) R^-1, -R^-T], [-R^-1, 0]],
     with gamma = s.y / y.y of the newest pair. The memory keeps R^-1, Y Y^T
     and D up to date pair by pair, so a direction costs a fixed number of
-    array operations at any number of pairs.
+    array operations at any number of pairs. The pairs are rows o .. o + k - 1
+    of buffers 2 _MEMORY long: dropping the oldest moves o, and the window is
+    copied to the front only at the buffers' end. R^-1 stays zero below the diagonal.
     """
 
-    __slots__ = ("SY", "Rinv", "YY", "D", "k")
+    __slots__ = ("SY", "Rinv", "YY", "D", "o", "k", "gamma")
 
     def __init__(self, n: int):
-        self.SY = np.empty((2, _MEMORY, n))  # S, then Y
-        self.Rinv = np.zeros((_MEMORY, _MEMORY))  # upper triangular
-        self.YY = np.empty((_MEMORY, _MEMORY))
-        self.D = np.empty(_MEMORY)
-        self.k = 0  # pairs held, in rows 0 .. k - 1
-
-    def __len__(self) -> int:
-        return self.k
+        self.SY = np.empty((2, 2 * _MEMORY, n))  # S, then Y
+        self.Rinv = np.zeros((2 * _MEMORY, 2 * _MEMORY))  # upper triangular
+        self.YY = np.empty((2 * _MEMORY, 2 * _MEMORY))
+        self.D = np.empty(2 * _MEMORY)
+        self.o = self.k = 0  # pairs held, in rows o .. o + k - 1; gamma is set by append
 
     def clear(self) -> None:
-        self.k = 0
+        self.o = self.k = 0
 
     def append(self, s: np.ndarray, y: np.ndarray, sy: float, yy: float) -> None:
         """Add the pair (s, y) with s.y = sy > 0 and y.y = yy, dropping the oldest when full."""
-        k = self.k
+        o, k = self.o, self.k
         if k == _MEMORY:
             # drop the oldest pair: the trailing block of a triangular
             # matrix's inverse is the inverse of its trailing block
-            self.SY[:, :-1] = self.SY[:, 1:]
-            self.Rinv[:-1, :-1] = self.Rinv[1:, 1:]
-            self.YY[:-1, :-1] = self.YY[1:, 1:]
-            self.D[:-1] = self.D[1:]
-            k -= 1
-        Sy, Yy = self.SY[:, :k] @ y
+            o, k = o + 1, k - 1
+            if o + k == 2 * _MEMORY:
+                w = slice(o, o + k)
+                self.SY[:, :k] = self.SY[:, w]
+                self.Rinv[:k, :k] = self.Rinv[w, w]
+                self.YY[:k, :k] = self.YY[w, w]
+                self.D[:k] = self.D[w]
+                o = 0
+        w, j = slice(o, o + k), o + k
+        S, Y = self.SY[:, w]
         # R gains the column S y and the corner sy; R^-1 the column -R^-1 (S y) / sy
-        self.Rinv[:k, k] = self.Rinv[:k, :k] @ Sy / -sy
-        self.Rinv[k, k] = 1.0 / sy
-        self.YY[:k, k] = self.YY[k, :k] = Yy
-        self.YY[k, k] = yy
-        self.D[k] = sy
-        self.SY[0, k], self.SY[1, k] = s, y
-        self.k = k + 1
+        self.Rinv[w, j] = self.Rinv[w, w].dot(S.dot(y)) / -sy
+        self.Rinv[j, j] = 1.0 / sy
+        self.YY[w, j] = self.YY[j, w] = Y.dot(y)
+        self.YY[j, j] = yy
+        self.D[j] = sy
+        self.SY[0, j], self.SY[1, j] = s, y
+        self.o, self.k, self.gamma = o, k + 1, sy / yy
 
     def direction(self, g: np.ndarray) -> np.ndarray:
         """-H g = gamma (Y^T u - g) - S^T v, or -g with no pairs.
 
         Here u = R^-1 S g and v = R^-T ((D + gamma Y Y^T) u - gamma Y g).
         """
-        k = self.k
-        if not k:
+        if not self.k:
             return -g
-        SY = self.SY[:, :k]
-        Rinv = self.Rinv[:k, :k]
-        gamma = self.D[k - 1] / self.YY[k - 1, k - 1]
-        Sg, Yg = SY @ g
-        u = Rinv @ Sg
-        v = (self.D[:k] * u + gamma * (self.YY[:k, :k] @ u - Yg)) @ Rinv
-        return gamma * (u @ SY[1] - g) - v @ SY[0]
+        w = slice(self.o, self.o + self.k)
+        S, Y = self.SY[:, w]
+        Rinv = self.Rinv[w, w]
+        gamma = self.gamma
+        u = Rinv.dot(S.dot(g))
+        v = (self.D[w] * u + gamma * (self.YY[w, w].dot(u) - Y.dot(g))).dot(Rinv)
+        return gamma * (u.dot(Y) - g) - v.dot(S)
 
 
 def _cubic_min(a0, f0, g0, a1, f1, g1) -> float:
@@ -295,40 +298,18 @@ def _cubic_min(a0, f0, g0, a1, f1, g1) -> float:
     return 0.5 * (a0 + a1)
 
 
-def _wolfe(x, f0, slope0, d, step):
-    """Strong-Wolfe line search along the descent direction d (Nocedal & Wright alg. 3.5, 3.6).
-
-    Yields each trial point x + step d and receives (f, g) there. lo is the
-    best step so far that meets the sufficient-decrease condition, hi the
-    other end of the bracket once there is one: until then the step doubles,
-    after it a safeguarded cubic step zooms in. Returns the number of trials
-    and the accepted (x, f, g), or None after _LINE_SEARCH_TRIALS trials.
-    """
-    lo, hi = (0.0, f0, slope0), None
-    for trial in range(1, _LINE_SEARCH_TRIALS + 1):
-        xa = x + step * d
-        f, g = yield xa
-        slope = float(g @ d)
-        if f > f0 + _C1 * step * slope0 or f >= lo[1]:
-            hi = (step, f, slope)
-        elif abs(slope) <= -_C2 * slope0:
-            return trial, (xa, f, g)
-        else:
-            if slope * (hi[0] - lo[0] if hi else 1.0) >= 0:
-                hi = lo
-            lo = (step, f, slope)
-        step = 2 * step if hi is None else _cubic_min(*lo, *hi)
-    return _LINE_SEARCH_TRIALS, None
-
-
 def _lbfgs(x: np.ndarray, max_iters: int):
     """L-BFGS from x as a generator: yields each trial point and receives (f, g) there.
 
-    The first step after an empty memory is tried at 1/||d||, later ones
-    at 1. The stopping tests are those of L-BFGS-B. A failed line search
+    Each iteration's strong-Wolfe line search (Nocedal & Wright alg. 3.5,
+    3.6) runs inline: lo is the best step so far that meets the sufficient-
+    decrease condition, hi the other end of the bracket once there is one;
+    until then the step doubles, after it a safeguarded cubic step zooms in.
+    The first step after an empty memory is tried at 1/||d||, later ones at
+    1. A search that fails (no descent, or _LINE_SEARCH_TRIALS trials)
     empties the memory and tries steepest descent once before the restart
-    stops. Returns (x, f, grad_norm, iterations, evaluations, stop) at the
-    last accepted point.
+    stops. The stopping tests are those of L-BFGS-B. Returns (x, f,
+    grad_norm, iterations, evaluations, stop) at the last accepted point.
     """
     f, g = yield x
     evaluations, iterations = 1, 0
@@ -337,20 +318,32 @@ def _lbfgs(x: np.ndarray, max_iters: int):
     stop = "grad_tol" if grad_norm <= _GRAD_TOL else None
     while stop is None:
         d = memory.direction(g)
-        slope = float(g @ d)
-        step = 1.0 if memory else 1.0 / math.sqrt(d @ d)
-        trials, point = (yield from _wolfe(x, f, slope, d, step)) if slope < 0 else (0, None)
-        evaluations += trials
-        if point is None:
-            if memory:
+        slope0 = float(g.dot(d))
+        step = 1.0 if memory.k else 1.0 / math.sqrt(d.dot(d))
+        lo, hi = (0.0, f, slope0), None
+        for _ in range(_LINE_SEARCH_TRIALS if slope0 < 0 else 0):
+            x_new = x + step * d
+            f_new, g_new = yield x_new
+            evaluations += 1
+            slope = float(g_new.dot(d))
+            if f_new > f + _C1 * step * slope0 or f_new >= lo[1]:
+                hi = (step, f_new, slope)
+            elif abs(slope) <= -_C2 * slope0:
+                break
+            else:
+                if slope * (hi[0] - lo[0] if hi else 1.0) >= 0:
+                    hi = lo
+                lo = (step, f_new, slope)
+            step = 2 * step if hi is None else _cubic_min(*lo, *hi)
+        else:  # no step met the strong Wolfe conditions
+            if memory.k:
                 memory.clear()
                 continue
             stop = "line_search"
             break
         iterations += 1
-        x_new, f_new, g_new = point
         s, y = x_new - x, g_new - g
-        sy, yy = float(s @ y), float(y @ y)
+        sy, yy = float(s.dot(y)), float(y.dot(y))
         if sy > _EPS * yy:
             memory.append(s, y, sy, yy)
         x, f, g, f_old = x_new, f_new, g_new, f
@@ -376,21 +369,21 @@ def _search(charts: _Charts, starts, d, e, max_iters: int) -> list[tuple]:
     starts = np.stack(starts)
     R, r, n = starts.shape
     runs = [_lbfgs(x, max_iters) for x in starts.view(float).reshape(R, 2 * r * n)]
-    pending = {k: next(run) for k, run in enumerate(runs)}
+    live, pending = list(range(R)), [next(run) for run in runs]
     results = [None] * R
-    live = []
-    while pending:
-        if len(live) != len(pending):  # a start finished: take the charts of the rest
-            live = list(pending)
-            stack = charts.take(live)
-        X = np.stack(list(pending.values()))
-        F, G = _cost_and_grad(X.view(complex).reshape(len(X), r, n), stack, d, e)
-        for k, f, g in zip(live, F, G.view(float).reshape(len(X), 2 * r * n)):
+    stack = charts
+    while live:
+        F, G = _cost_and_grad(np.array(pending).view(complex).reshape(len(live), r, n), stack, d, e)
+        running, pending = [], []
+        for k, f, g in zip(live, F.tolist(), G.view(float).reshape(len(live), 2 * r * n)):
             try:
-                pending[k] = runs[k].send((float(f), g))
+                pending.append(runs[k].send((f, g)))
+                running.append(k)
             except StopIteration as done:
                 results[k] = (done.value[0].view(complex).reshape(r, n), *done.value[1:])
-                del pending[k]
+        if len(running) != len(live):  # a start finished: take the charts of the rest
+            stack = charts.take(running)
+        live = running
     return results
 
 
@@ -433,7 +426,7 @@ def _stack(problems: list[tuple[Povm, int]], spaces, cfg: OptimizerConfig):
         B,
         weights,
         M[..., :, None] * M[..., None, :].conj(),
-        -(B.conj().mT * weights[:, None, :]),
+        B.conj().mT * (-2 * weights[:, None, :]),
         None if min(widths) == n else np.stack([np.arange(n) >= w for w in widths])[:, None],
     )
     # each problem's chart repeated for its R restarts

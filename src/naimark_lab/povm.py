@@ -177,8 +177,11 @@ def merge_parallel(P: Povm, tol: float = 1e-9) -> Povm:
     Two elements are parallel when their normalized overlap magnitude is
     >= 1 - tol. Classes merge into their lowest-index member's direction;
     zero-norm elements are dropped (no direction to merge on). Idempotent.
-    Raises ValueError when fewer than d elements are left.
+    Raises ValueError for a NaN or negative tol, and when fewer than d
+    elements are left.
     """
+    if not tol >= 0:  # NaN fails too
+        raise ValueError(f"tol must be >= 0, got {tol}")
     rows = [P.matrix[i] for i in range(P.m)]
     keep: list[np.ndarray] = []
     used = [False] * len(rows)

@@ -23,6 +23,7 @@ from naimark_lab import (
     binary_entropy,
     f_curve,
     gram_schmidt_complete,
+    merge_parallel,
     post_process,
     refine_to_rank1,
 )
@@ -156,6 +157,11 @@ def test_extension_cost_breakdown_consistency():
     assert abs(br.total - float(br.per_outcome_entanglement @ br.weights)) < 1e-15
     with pytest.raises(ValueError):
         extension_cost(N, w[:-1])
+    # weights are a distribution: non-negative, summing to 1 within 1e-6
+    for bad in (np.r_[-w[0], w[1:]], 1.1 * w, np.r_[np.inf, w[1:]]):
+        with pytest.raises(ValueError, match="weights must be non-negative"):
+            extension_cost(N, bad)
+    assert extension_cost(N, w * (1 + 5e-7)).total > 0
 
 
 def test_extension_cost_zero_for_von_neumann():
@@ -350,6 +356,9 @@ NAN_INPUTS = {
     "gram_schmidt_complete": lambda: gram_schmidt_complete(np.array([[NAN], [0]])),
     "post_process split": lambda: post_process(trine(), [[NAN], [1], [1]]),
     "refine_to_rank1 effect": lambda: refine_to_rank1([NAN * np.eye(2)]),
+    "extension_cost weights": lambda: extension_cost(construct_default(trine(), 2), [NAN, 0.5, 0.5]),
+    "merge_parallel tol": lambda: merge_parallel(trine(), NAN),
+    "compress_ancilla basis": lambda: compress_ancilla(NaimarkExtension(2, 2, 3, np.full((4, 4), NAN))),
 }
 
 

@@ -98,6 +98,8 @@ STACKS = {
     # sweep stacks: the smaller e are zero-padded to e_max, and so is each of their starts alone
     "trine-sweep": lambda: [(trine(), e) for e in (2, 3, 4)],
     "haar35-sweep": lambda: [(random_haar(3, 5, 9), e) for e in (2, 3)],
+    # m = d: every start searches zero parameters
+    "von-neumann": lambda: [(Povm(haar_unitary(3, np.random.default_rng(2))), 2)],
 }
 
 

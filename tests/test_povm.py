@@ -128,6 +128,12 @@ def test_merge_parallel_drops_null_rows():
     assert merge_parallel(Povm(M)).m == 2
 
 
+def test_merge_parallel_rejects_a_negative_tol():
+    with pytest.raises(ValueError, match="tol must be >= 0"):
+        merge_parallel(trine(), -1e-9)
+    assert merge_parallel(trine(), 0.0).m == 3
+
+
 def test_tensor_product_validates():
     T = trine()
     TT = tensor(T, T)

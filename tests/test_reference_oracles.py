@@ -7,9 +7,12 @@ against a backtracking perfect-matching search, which it must equal, the
 compact L-BFGS memory against the two-loop recursion, the completion
 chart, bit for bit, against the de x de Gram-Schmidt basis it replaced, and
 the search's cost and gradient against the whole-row form that forms every
-block of every row.
+block of every row. The lockstep search must equal, bit for bit, the one it
+replaced: a memory that shifts its arrays to drop a pair, a line search in
+a generator of its own, and a dict of pending points.
 """
 
+import math
 from collections import deque
 
 import numpy as np
@@ -34,9 +37,24 @@ from naimark_lab import (
 )
 from naimark_lab.bounds import _necessary_margins, _orthogonal
 from naimark_lab.naimark import _chart, _complete_rows
-from naimark_lab.optimize import _MEMORY, _Memory, _cost_and_grad, _polar, _stack
+from naimark_lab.optimize import (
+    _C1,
+    _C2,
+    _EPS,
+    _GRAD_TOL,
+    _LINE_SEARCH_TRIALS,
+    _MEMORY,
+    _OBJECTIVE_TOL,
+    _Memory,
+    _cost_and_grad,
+    _cubic_min,
+    _polar,
+    _search,
+    _stack,
+)
 from naimark_lab.povm import ZERO_NORM_SQ
 from conftest import haar_unitary, kpom, n_d3, pairing_is_valid, qubit_sic, two_basis_mixture
+from test_optimize import STACKS, stack
 
 
 def mgs_complete(cols):
@@ -380,28 +398,190 @@ def two_loop(g, pairs):
     return -q
 
 
+class ShiftingMemory:
+    """The compact memory with its pairs in rows 0 .. k - 1, shifted up one row to drop the oldest."""
+
+    def __init__(self, n):
+        self.SY = np.empty((2, _MEMORY, n))  # S, then Y
+        self.Rinv = np.zeros((_MEMORY, _MEMORY))  # upper triangular
+        self.YY = np.empty((_MEMORY, _MEMORY))
+        self.D = np.empty(_MEMORY)
+        self.k = 0
+
+    def __len__(self):
+        return self.k
+
+    def clear(self):
+        self.k = 0
+
+    def append(self, s, y, sy, yy):
+        k = self.k
+        if k == _MEMORY:
+            self.SY[:, :-1] = self.SY[:, 1:]
+            self.Rinv[:-1, :-1] = self.Rinv[1:, 1:]
+            self.YY[:-1, :-1] = self.YY[1:, 1:]
+            self.D[:-1] = self.D[1:]
+            k -= 1
+        Sy, Yy = self.SY[:, :k] @ y
+        self.Rinv[:k, k] = self.Rinv[:k, :k] @ Sy / -sy
+        self.Rinv[k, k] = 1.0 / sy
+        self.YY[:k, k] = self.YY[k, :k] = Yy
+        self.YY[k, k] = yy
+        self.D[k] = sy
+        self.SY[0, k], self.SY[1, k] = s, y
+        self.k = k + 1
+
+    def direction(self, g):
+        k = self.k
+        if not k:
+            return -g
+        SY = self.SY[:, :k]
+        Rinv = self.Rinv[:k, :k]
+        gamma = self.D[k - 1] / self.YY[k - 1, k - 1]
+        Sg, Yg = SY @ g
+        u = Rinv @ Sg
+        v = (self.D[:k] * u + gamma * (self.YY[:k, :k] @ u - Yg)) @ Rinv
+        return gamma * (u @ SY[1] - g) - v @ SY[0]
+
+
+def wolfe_generator(x, f0, slope0, d, step):
+    """The strong-Wolfe search as a generator of its own: returns (trials, (x, f, g) or None)."""
+    lo, hi = (0.0, f0, slope0), None
+    for trial in range(1, _LINE_SEARCH_TRIALS + 1):
+        xa = x + step * d
+        f, g = yield xa
+        slope = float(g @ d)
+        if f > f0 + _C1 * step * slope0 or f >= lo[1]:
+            hi = (step, f, slope)
+        elif abs(slope) <= -_C2 * slope0:
+            return trial, (xa, f, g)
+        else:
+            if slope * (hi[0] - lo[0] if hi else 1.0) >= 0:
+                hi = lo
+            lo = (step, f, slope)
+        step = 2 * step if hi is None else _cubic_min(*lo, *hi)
+    return _LINE_SEARCH_TRIALS, None
+
+
+def lbfgs_shifting(x, max_iters):
+    """L-BFGS on a ShiftingMemory, one wolfe_generator per iteration."""
+    f, g = yield x
+    evaluations, iterations = 1, 0
+    memory = ShiftingMemory(len(x))
+    grad_norm = float(np.abs(g).max(initial=0.0))
+    stop = "grad_tol" if grad_norm <= _GRAD_TOL else None
+    while stop is None:
+        d = memory.direction(g)
+        slope = float(g @ d)
+        step = 1.0 if memory else 1.0 / math.sqrt(d @ d)
+        trials, point = (yield from wolfe_generator(x, f, slope, d, step)) if slope < 0 else (0, None)
+        evaluations += trials
+        if point is None:
+            if memory:
+                memory.clear()
+                continue
+            stop = "line_search"
+            break
+        iterations += 1
+        x_new, f_new, g_new = point
+        s, y = x_new - x, g_new - g
+        sy, yy = float(s @ y), float(y @ y)
+        if sy > _EPS * yy:
+            memory.append(s, y, sy, yy)
+        x, f, g, f_old = x_new, f_new, g_new, f
+        grad_norm = float(np.abs(g).max(initial=0.0))
+        if grad_norm <= _GRAD_TOL:
+            stop = "grad_tol"
+        elif f_old - f <= _OBJECTIVE_TOL * max(abs(f_old), abs(f), 1.0):
+            stop = "objective_tol"
+        elif iterations >= max_iters:
+            stop = "max_iters"
+    return x, f, grad_norm, iterations, evaluations, stop
+
+
+def search_shifting(charts, starts, d, e, max_iters):
+    """The lockstep search over lbfgs_shifting runs, pending points kept in a dict by start."""
+    starts = np.stack(starts)
+    R, r, n = starts.shape
+    runs = [lbfgs_shifting(x, max_iters) for x in starts.view(float).reshape(R, 2 * r * n)]
+    pending = {k: next(run) for k, run in enumerate(runs)}
+    results = [None] * R
+    live = []
+    while pending:
+        if len(live) != len(pending):
+            live = list(pending)
+            stack = charts.take(live)
+        X = np.stack(list(pending.values()))
+        F, G = _cost_and_grad(X.view(complex).reshape(len(X), r, n), stack, d, e)
+        for k, f, g in zip(live, F, G.view(float).reshape(len(X), 2 * r * n)):
+            try:
+                pending[k] = runs[k].send((float(f), g))
+            except StopIteration as done:
+                results[k] = (done.value[0].view(complex).reshape(r, n), *done.value[1:])
+                del pending[k]
+    return results
+
+
+def assert_same_search(problems, cfg):
+    """_search equals search_shifting bit for bit on the stack of problems; returns its runs."""
+    charts, starts, e = stack(problems, cfg)
+    d = problems[0][0].d
+    runs = _search(charts, starts, d, e, cfg.max_iters)
+    refs = search_shifting(charts, starts, d, e, cfg.max_iters)
+    assert len(runs) == len(refs) == len(starts)
+    for k, (run, ref) in enumerate(zip(runs, refs)):
+        assert np.array_equal(run[0], ref[0]), k
+        assert run[1:] == ref[1:], k
+    return runs
+
+
+@pytest.mark.parametrize("name", list(STACKS))
+def test_search_matches_the_shifting_memory_search(name):
+    assert_same_search(STACKS[name](), OptimizerConfig(restarts=8, seed=3))
+
+
+def test_search_matches_the_oracle_past_window_copy_backs(monkeypatch):
+    # 153 appends among the four restarts: the window reaches the end of its buffers 9 times
+    copy_backs = []
+    append = _Memory.append
+
+    def counting_append(self, *pair):
+        o = self.o
+        append(self, *pair)
+        copy_backs.append(self.o < o)
+
+    monkeypatch.setattr(_Memory, "append", counting_append)
+    runs = assert_same_search([(random_haar(3, 5, 7), 3)], OptimizerConfig(restarts=4))
+    assert [run[3] for run in runs] == [24, 54, 31, 44]
+    assert (len(copy_backs), sum(copy_backs)) == (153, 9)
+
+
 def test_compact_memory_matches_two_loop():
-    # past the wraparound at _MEMORY pairs, and again after clear()
+    # after each of 0 .. 45 appends, past several window copy-backs, and again after clear()
     rng = np.random.default_rng(13)
     n = 24
     A = rng.standard_normal((n, n))
     A = A @ A.T + 0.1 * np.eye(n)  # y = A s + noise keeps s.y > 0
-    memory, pairs = _Memory(n), deque(maxlen=_MEMORY)
+    memory, shifting, pairs = _Memory(n), ShiftingMemory(n), deque(maxlen=_MEMORY)
     for rnd in range(2):
-        for k in range(15):
-            assert len(memory) == len(pairs) == min(k, _MEMORY)
+        for k in range(46):
+            assert memory.k == len(shifting) == len(pairs) == min(k, _MEMORY)
             for _ in range(3):
                 g = rng.standard_normal(n)
                 ref = two_loop(g, pairs)
-                err = np.linalg.norm(memory.direction(g) - ref) / np.linalg.norm(ref)
+                got = memory.direction(g)
+                err = np.linalg.norm(got - ref) / np.linalg.norm(ref)
                 assert err <= 1e-12, (rnd, k, err)
+                assert np.array_equal(got, shifting.direction(g)), (rnd, k)
             s = rng.standard_normal(n)
             y = A @ s + 0.01 * rng.standard_normal(n)
             sy = float(s @ y)
             assert sy > 0
-            memory.append(s, y, sy, float(y @ y))
+            for mem in (memory, shifting):
+                mem.append(s, y, sy, float(y @ y))
             pairs.append((s, y, 1.0 / sy))
         memory.clear()
+        shifting.clear()
         pairs.clear()
         g = rng.standard_normal(n)
         assert np.array_equal(memory.direction(g), -g)
