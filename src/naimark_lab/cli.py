@@ -45,18 +45,25 @@ class InputRejected(Exception):
     """Raised for a well-formed input the command refuses: exit code 1."""
 
 
+def _number(x) -> float:
+    """A JSON number as a float; a string or a bool is not one."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise TypeError(f"coefficients must be numbers, got {x!r}")
+    return float(x)
+
+
 def load_povm(path: str) -> Povm:
     """Read a POVM from a JSON file of [re, im] coefficient pairs."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # bad JSON or UTF-8, or an integer past 4300 digits
         raise PovmFileError(f"cannot read POVM file {path!r}: {exc}") from exc
     try:
-        d = int(doc["d"])
-        rows = [
-            [complex(float(re), float(im)) for re, im in row] for row in doc["elements"]
-        ]
+        d = doc["d"]
+        if type(d) is not int:  # a JSON integer: not 2.9, "2" or true
+            raise TypeError(f"d must be an integer, got {d!r}")
+        rows = [[complex(_number(re), _number(im)) for re, im in row] for row in doc["elements"]]
         matrix = np.array(rows, dtype=complex)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise PovmFileError(f"malformed POVM file {path!r}: {exc}") from exc

@@ -153,12 +153,12 @@ def validate_extension(N: NaimarkExtension, P: Povm) -> ExtensionReport:
     return ExtensionReport(ok=ok, unitarity_residual=unit, form_residual=form)
 
 
-def _row_entropies(rho: np.ndarray, grad: bool = False):
-    """Entanglement entropy in bits of each row across the system/ancilla cut.
+def _row_entropies(rho: np.ndarray):
+    """Entanglement entropy in bits of each row across the system/ancilla cut, and its gradient.
 
     rho is (k, d, d), the rows' reduced states: row nu's is rho_nu = A^T A^*
     of its (e, d) reshape A, ancilla-major. One batched eigh diagonalizes
-    the stack. With grad=True, also returns V (k, d, d) and
+    the stack. Returns S (k,), the eigenvectors V (k, d, d) and
     g = log2(lam) + 1/ln 2 (k, d): S is a trace function, so dS = Tr(G drho)
     with G = -(log2 rho + 1/ln 2) = -V diag(g) V^dag.
     """
@@ -166,8 +166,6 @@ def _row_entropies(rho: np.ndarray, grad: bool = False):
     lam = np.minimum(np.maximum(lam, 0.0), 1.0)
     log_lam = np.log2(np.maximum(lam, _LOG_FLOOR))
     S = -(lam * log_lam).sum(axis=1) + 0.0  # squash -0.0
-    if not grad:
-        return S
     return S, V, log_lam + _INV_LN2
 
 
@@ -178,12 +176,12 @@ def extension_cost(N: NaimarkExtension, weights: OutcomeDistribution) -> Extensi
     never fire and carry no cost.
     """
     weights = np.asarray(weights, dtype=float)
-    if weights.size != N.m:
-        raise ValueError("need one weight per POVM outcome")
+    if weights.shape != (N.m,):
+        raise ValueError(f"weights must have shape ({N.m},), one per outcome, got {weights.shape}")
     if not (weights.min() >= 0 and abs(weights.sum() - 1) <= _WEIGHT_TOL):  # NaN fails too
         raise ValueError(f"weights must be non-negative and sum to 1 within {_WEIGHT_TOL:g}")
     A = N.basis[: N.m].reshape(N.m, N.e, N.d)
-    ent = _row_entropies(np.einsum("kia,kib->kab", A, A.conj()))
+    ent = _row_entropies(np.einsum("kia,kib->kab", A, A.conj()))[0]
     return ExtensionCostBreakdown(
         per_outcome_entanglement=ent, weights=weights, total=float(ent @ weights)
     )
@@ -246,25 +244,19 @@ def prop5_extension(P: Povm, zeta: np.ndarray) -> tuple[NaimarkExtension, float]
     cost, which the measured extension_cost matches to ~1e-9.
     """
     zeta = _check_zeta(P, zeta)
-    M = P.matrix
-    m, d = P.m, P.d
-    e = m + 1
-    de = d * e
+    M, m = P.matrix, P.m
 
     # Gram target: <xi_a|xi_b> = delta_ab - <k_a|k_b>; conjugation puts the
     # POVM Gram into position, since (M M^dag)[a,b] = <k_b|k_a>. Any factor
-    # X^dag X = K serves: row nu's entropy sees X only through ||xi_nu||.
+    # of K serves: row nu's entropy sees xi_nu only through ||xi_nu||.
     K = np.eye(m) - np.conj(M @ M.conj().T)
     lam, V = np.linalg.eigh(K)
     keep = lam >= 1e-12
-    X = (np.sqrt(lam[keep])[:, None]) * V[:, keep].conj().T  # (r, m), col nu = xi_nu
-
-    W = np.zeros((m, de), dtype=complex)
-    W[:, :d] = M
-    for i in range(X.shape[0]):
-        W[:, (i + 1) * d : (i + 2) * d] = np.outer(X[i], zeta)
-    basis = _complete_rows(W)
-    return NaimarkExtension(d=d, e=e, m=m, basis=basis), float(_prop5_predicted(P, zeta[None])[0])
+    xi = V[:, keep].conj() * np.sqrt(lam[keep])  # row nu = xi_nu
+    # row nu's completion block xi_nu (x) zeta; directions past the rank of K stay empty
+    X = np.zeros((m, m, P.d), dtype=complex)
+    X[:, : xi.shape[1]] = xi[:, :, None] * zeta
+    return _extension(P, m + 1, X.reshape(m, -1)), float(_prop5_predicted(P, zeta[None])[0])
 
 
 def rotate_ancilla(N: NaimarkExtension, R: np.ndarray) -> NaimarkExtension:

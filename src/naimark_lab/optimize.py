@@ -168,18 +168,17 @@ class _Charts(NamedTuple):
     pad: np.ndarray | None  # (R, 1, n) bool; None when no start is padded
 
     def take(self, idx: list[int]) -> _Charts:
-        """The charts of the starts idx, listed in ascending order: all R of them is the stack itself."""
-        if len(idx) == len(self.B):
-            return self
+        """The charts of the starts idx, listed in ascending order."""
         return _Charts(*(None if a is None else a[idx] for a in self))
 
 
-def _cost_and_grad(Z, charts: _Charts, d, e):
+def _cost_and_grad(Z, charts: _Charts):
     """Weighted row entropy at Q = polar(Z) for each Z of the stack (R, r, n), and its gradient.
 
     Start k is evaluated on charts[k], with rows [M | X] of d*e entries
-    and X = B Q. The reduced state of row nu is rho0_nu + X_nu^T X_nu^*,
-    X_nu its (e - 1, d) reshape; the element block is never formed. The
+    and X = B Q, d the size of rho0's matrices and n = d(e - 1) the stack's
+    width. The reduced state of row nu is rho0_nu + X_nu^T X_nu^*, X_nu
+    its (e - 1, d) reshape; the element block is never formed. The
     gradient G (R, r, n) gives df = Re sum(conj(G) dZ): Re G and Im G are
     the derivatives in Re Z and Im Z; it is zero on padded columns, so a
     padded start never leaves its own ancilla dimension. Every start of the
@@ -188,10 +187,10 @@ def _cost_and_grad(Z, charts: _Charts, d, e):
     """
     B, weights, rho0, pull, pad = charts
     Q, U, sigma, Wh = _polar(Z)
-    R, m = weights.shape
+    R, m, d, _ = rho0.shape
     n = Z.shape[2]
-    X = (B @ Q).reshape(R * m, e - 1, d)
-    S, V, g = _row_entropies(rho0.reshape(R * m, d, d) + X.mT @ X.conj(), grad=True)
+    X = (B @ Q).reshape(R * m, -1, d)
+    S, V, g = _row_entropies(rho0.reshape(R * m, d, d) + X.mT @ X.conj())
     # dS_nu = -Tr(V diag(g) V^dag drho) with drho = dX^T X^* + X^T dX^*: the gradient
     # in X_nu is -X_nu V^* diag(g) V^T; pull holds the sign, the weights and the factor 2
     # that makes Re G and Im G the derivatives in Re Z and Im Z
@@ -357,23 +356,23 @@ def _lbfgs(x: np.ndarray, max_iters: int):
     return x, f, grad_norm, iterations, evaluations, stop
 
 
-def _search(charts: _Charts, starts, d, e, max_iters: int) -> list[tuple]:
+def _search(charts: _Charts, starts: np.ndarray, max_iters: int) -> list[tuple]:
     """One L-BFGS per complex start Z (r, n), each on its own chart, all run in lockstep.
 
-    A point is Z packed as a real vector, real and imaginary parts
-    interleaved. Each round stacks the pending point of every start still
-    running and evaluates the stack in one call of _cost_and_grad; a
-    finished start leaves the stack. Returns each start's _lbfgs result,
-    in the order of starts, with its final point as the complex Z (r, n).
+    starts (R, r, n) is read in place, so it must be C-contiguous. A point
+    is Z packed as a real vector, real and imaginary parts interleaved.
+    Each round stacks the pending point of every start still running and
+    evaluates the stack in one call of _cost_and_grad; a finished start
+    leaves the stack. Returns each start's _lbfgs result, in the order of
+    starts, with its final point as the complex Z (r, n).
     """
-    starts = np.stack(starts)
     R, r, n = starts.shape
     runs = [_lbfgs(x, max_iters) for x in starts.view(float).reshape(R, 2 * r * n)]
     live, pending = list(range(R)), [next(run) for run in runs]
     results = [None] * R
     stack = charts
     while live:
-        F, G = _cost_and_grad(np.array(pending).view(complex).reshape(len(live), r, n), stack, d, e)
+        F, G = _cost_and_grad(np.array(pending).view(complex).reshape(len(live), r, n), stack)
         running, pending = [], []
         for k, f, g in zip(live, F.tolist(), G.view(float).reshape(len(live), 2 * r * n)):
             try:
@@ -406,14 +405,13 @@ def _stack(problems: list[tuple[Povm, int]], spaces, cfg: OptimizerConfig):
 
     spaces holds each problem's (B, Q0). Problem i's restarts are starts
     i*R .. i*R + R - 1, each on its problem's chart, with its own default
-    start and seeds. The stack is in the frame of the largest e, e_top: a
-    problem at a smaller e has its Z zero-padded to e_top's width. Each
-    chart's constants are formed once per problem, before the repeat.
-    Returns (charts, starts (len(problems)*R, r, n), e_top).
+    start and seeds. The stack is in the frame of the largest e: a problem
+    at a smaller e has its Z zero-padded to that e's width. Each chart's
+    constants are formed once per problem, before the repeat. Returns
+    (charts, starts (len(problems)*R, r, n)).
     """
     d, R = problems[0][0].d, cfg.restarts
-    e_top = max(e for _, e in problems)
-    n = d * (e_top - 1)
+    n = d * (max(e for _, e in problems) - 1)
     starts = np.zeros((len(problems) * R, problems[0][0].m - d, n), dtype=complex)
     for i, (_, Q) in enumerate(spaces):
         starts[i * R : (i + 1) * R, :, : Q.shape[1]] = _start_points(Q, cfg)
@@ -431,14 +429,13 @@ def _stack(problems: list[tuple[Povm, int]], spaces, cfg: OptimizerConfig):
     )
     # each problem's chart repeated for its R restarts
     charts = _Charts(*(None if a is None else a.repeat(R, axis=0) for a in per_problem))
-    return charts, starts, e_top
+    return charts, starts
 
 
 def _minimize_stack(problems: list[tuple[Povm, int]], cfg: OptimizerConfig) -> list[CostReport]:
     """One report per (P, e) of problems, in order; all of one (d, m), searched as one stack."""
     spaces = [_chart(P, e)[1:] for P, e in problems]
-    charts, starts, e_top = _stack(problems, spaces, cfg)
-    runs = _search(charts, starts, problems[0][0].d, e_top, cfg.max_iters)
+    runs = _search(*_stack(problems, spaces, cfg), cfg.max_iters)
     R = cfg.restarts
     return [
         _report(P, e, spaces[i][0], runs[i * R : (i + 1) * R]) for i, (P, e) in enumerate(problems)

@@ -30,6 +30,8 @@ class Povm:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2:
             raise ValueError("POVM matrix must be 2-D (m x d)")
+        if m.shape[1] < 1:
+            raise ValueError("POVM matrix needs d >= 1 columns")
         if not np.isfinite(m).all():
             raise ValueError("POVM matrix has non-finite entries")
         if m.shape[0] < m.shape[1]:
@@ -164,8 +166,8 @@ def post_process(P: Povm, splits: list[list[float]]) -> Povm:
     rows = []
     for mu, probs in enumerate(splits):
         probs = np.asarray(probs, dtype=float)
-        if not (probs.min() >= 0 and abs(probs.sum() - 1) <= 1e-12):
-            raise ValueError(f"split {mu} is not a probability distribution")
+        if not (probs.size and probs.min() >= 0 and abs(probs.sum() - 1) <= 1e-12):
+            raise ValueError(f"splits[{mu}] is not a probability distribution")
         for p in probs:
             rows.append(np.sqrt(p) * P.matrix[mu])
     return Povm(np.array(rows))
@@ -182,29 +184,18 @@ def merge_parallel(P: Povm, tol: float = 1e-9) -> Povm:
     """
     if not tol >= 0:  # NaN fails too
         raise ValueError(f"tol must be >= 0, got {tol}")
-    rows = [P.matrix[i] for i in range(P.m)]
+    rows = P.matrix
+    norms = [np.vdot(row, row).real for row in rows]
+    used = [n < ZERO_NORM_SQ for n in norms]
     keep: list[np.ndarray] = []
-    used = [False] * len(rows)
-    for i, row in enumerate(rows):
+    for i, (row, ni) in enumerate(zip(rows, norms)):
         if used[i]:
-            continue
-        ni = np.vdot(row, row).real
-        if ni < ZERO_NORM_SQ:
-            used[i] = True
             continue
         total = ni
         for j in range(i + 1, len(rows)):
-            if used[j]:
-                continue
-            nj = np.vdot(rows[j], rows[j]).real
-            if nj < ZERO_NORM_SQ:
+            if not used[j] and abs(np.vdot(row, rows[j])) / np.sqrt(ni * norms[j]) >= 1 - tol:
+                total += norms[j]
                 used[j] = True
-                continue
-            overlap = abs(np.vdot(row, rows[j])) / np.sqrt(ni * nj)
-            if overlap >= 1 - tol:
-                total += nj
-                used[j] = True
-        used[i] = True
         keep.append(np.sqrt(total / ni) * row)
     if len(keep) < P.d:
         raise ValueError(
@@ -227,6 +218,8 @@ def refine_to_rank1(effects: list[np.ndarray]) -> Povm:
     descending within each effect.
     """
     effects = [np.asarray(a, dtype=complex) for a in effects]
+    if not effects:
+        raise ValueError("effects must not be empty")
     d = effects[0].shape[0]
     total = sum(effects)
     if not np.abs(total - np.eye(d)).max() <= 1e-9:  # NaN fails too

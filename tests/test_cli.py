@@ -37,6 +37,9 @@ def test_load_rejects_garbage(tmp_path):
     bad.write_text(json.dumps({"d": 2, "elements": [[[1, 0]], [[0, 1]]]}))  # 1 pair per row
     with pytest.raises(PovmFileError):
         load_povm(str(bad))
+    bad.write_text('{"d": 1' + "0" * 5000 + "}")  # json's int() refuses past 4300 digits
+    with pytest.raises(PovmFileError, match="cannot read POVM file"):
+        load_povm(str(bad))
 
 
 def test_validate_exit_codes(tmp_path):
@@ -82,6 +85,11 @@ def test_validate_names_zero_norm_elements(tmp_path, capsys):
         pytest.param('{"d": 2, "elements": [[[1, 0], [0, 0]]]}', id="fewer-rows-than-d"),
         pytest.param('{"d": 1e400, "elements": [[[1, 0]]]}', id="d-overflows"),
         pytest.param('{"d": 0, "elements": [[]]}', id="d-zero"),
+        pytest.param('{"d": 2.9, "elements": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}', id="d-not-an-integer"),
+        pytest.param('{"d": "2", "elements": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}', id="d-a-string"),
+        pytest.param('{"d": true, "elements": [[[1, 0]]]}', id="d-a-bool"),
+        pytest.param('{"d": 2, "elements": [[["1", 0], [0, 0]], [[0, 0], [1, 0]]]}', id="coefficient-a-string"),
+        pytest.param('{"d": 2, "elements": [[[true, 0], [0, 0]], [[0, 0], [1, 0]]]}', id="coefficient-a-bool"),
     ],
 )
 def test_malformed_povm_file_exit_2(tmp_path, capsys, doc):

@@ -21,9 +21,11 @@ from naimark_lab import (
 from naimark_lab import (
     Ensemble,
     binary_entropy,
+    convex_combine,
     f_curve,
     gram_schmidt_complete,
     merge_parallel,
+    mutual_information,
     post_process,
     refine_to_rank1,
 )
@@ -367,3 +369,39 @@ def test_nan_input_is_rejected(name):
     # every tolerance gate is written as not (residual <= tol), which NaN fails
     with pytest.raises(ValueError):
         NAN_INPUTS[name]()
+
+
+BAD_INPUTS = {
+    "gram_schmidt_complete 1-D": (lambda: gram_schmidt_complete(np.ones(2)), "2-D"),
+    "gram_schmidt_complete k > n": (lambda: gram_schmidt_complete(np.eye(2, 3)), "cannot complete 3"),
+    "NaimarkExtension basis shape": (lambda: NaimarkExtension(2, 2, 3, np.eye(3)), "basis must be 4 x 4"),
+    "rotate_ancilla R shape": (lambda: rotate_ancilla(construct_default(trine(), 2), np.eye(3)), "R must"),
+    "Povm 1-D": (lambda: Povm(np.ones(2)), "2-D"),
+    "Povm d = 0": (lambda: Povm(np.zeros((0, 0))), "d >= 1"),
+    "random_haar d = 0": (lambda: random_haar(0, 2, 1), "d >= 1"),
+    "random_haar m < d": (lambda: random_haar(3, 2, 0), "m >= d"),
+    "Ensemble shape": (lambda: Ensemble([[1, 0]], [0.5, 0.5]), "matching probs"),
+    "mutual_information dimensions": (
+        lambda: mutual_information(trine(), Ensemble(np.eye(3), np.full(3, 1 / 3))),
+        "dimensions differ",
+    ),
+    "convex_combine dimensions": (lambda: convex_combine(trine(), Povm(np.eye(3)), 0.5), "dimension"),
+    "post_process split count": (lambda: post_process(trine(), [[1.0]]), "one split distribution"),
+    "post_process empty split": (lambda: post_process(trine(), [[1.0], [], [1.0]]), r"splits\[1\]"),
+    "refine_to_rank1 non-PSD effect": (
+        lambda: refine_to_rank1([np.diag([1.5, 0.5]), np.diag([-0.5, 0.5])]),
+        "positive semidefinite",
+    ),
+    "refine_to_rank1 no effects": (lambda: refine_to_rank1([]), "effects"),
+    "extension_cost weights shape": (
+        lambda: extension_cost(construct_default(trine(), 2), np.full((3, 1), 1 / 3)),
+        r"weights must have shape \(3,\)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_INPUTS))
+def test_bad_input_raises_a_value_error_naming_it(name):
+    call, message = BAD_INPUTS[name]
+    with pytest.raises(ValueError, match=message):
+        call()

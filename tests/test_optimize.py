@@ -28,7 +28,7 @@ FAST = OptimizerConfig(restarts=4, max_iters=2000, seed=0)
 
 
 def stack(problems, cfg):
-    """(charts, starts, e_top) of the lockstep stack of every restart of every (P, e)."""
+    """(charts, starts) of the lockstep stack of every restart of every (P, e)."""
     return _stack(problems, [_chart(P, e)[1:] for P, e in problems], cfg)
 
 
@@ -69,11 +69,11 @@ def test_cost_and_grad_matches_central_differences():
     P = random_haar(3, 5, seed=7)
     rng = np.random.default_rng(1)
     for problems, restarts in (([(P, 3)], 3), ([(P, 2), (random_haar(3, 5, seed=8), 3)], 1)):
-        charts, starts, e = stack(problems, OptimizerConfig(restarts=restarts))
+        charts, starts = stack(problems, OptimizerConfig(restarts=restarts))
         Z = rng.standard_normal(starts.shape) + 1j * rng.standard_normal(starts.shape)
         if charts.pad is not None:
             Z[np.broadcast_to(charts.pad, Z.shape)] = 0
-        f, G = _cost_and_grad(Z, charts, P.d, e)
+        f, G = _cost_and_grad(Z, charts)
         assert f.shape == (len(Z),) and G.shape == Z.shape
         h = 1e-6
         for k in range(len(Z)):
@@ -83,8 +83,8 @@ def test_cost_and_grad_matches_central_differences():
                 for unit, part in ((1, G.real), (1j, G.imag)):
                     step = np.zeros_like(Z)
                     step[k][idx] = h * unit
-                    up = _cost_and_grad(Z + step, charts, P.d, e)[0]
-                    down = _cost_and_grad(Z - step, charts, P.d, e)[0]
+                    up = _cost_and_grad(Z + step, charts)[0]
+                    down = _cost_and_grad(Z - step, charts)[0]
                     fd = (up[k] - down[k]) / (2 * h)
                     assert abs(fd - part[k][idx]) < 1e-7, (k, idx, unit, fd, part[k][idx])
 
@@ -105,12 +105,10 @@ STACKS = {
 
 @pytest.mark.parametrize("name", list(STACKS))
 def test_start_path_does_not_depend_on_its_stack(name):
-    problems = STACKS[name]()
-    charts, starts, e = stack(problems, OptimizerConfig(restarts=8, seed=3))
-    d = problems[0][0].d
-    stacked = _search(charts, starts, d, e, 2000)
+    charts, starts = stack(STACKS[name](), OptimizerConfig(restarts=8, seed=3))
+    stacked = _search(charts, starts, 2000)
     for k, together in enumerate(stacked):
-        (alone,) = _search(charts.take([k]), starts[k : k + 1], d, e, 2000)
+        (alone,) = _search(charts.take([k]), starts[k : k + 1], 2000)
         assert np.array_equal(alone[0], together[0]), k
         assert alone[1:] == together[1:], k
 

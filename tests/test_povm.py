@@ -124,8 +124,9 @@ def test_merge_parallel_two_basis_mixture_d3():
 
 
 def test_merge_parallel_drops_null_rows():
-    M = np.array([[1, 0], [0, 1], [0, 0]], dtype=complex)
-    assert merge_parallel(Povm(M)).m == 2
+    # a zero-norm element has no direction to merge on, wherever it stands
+    for M in ([[1, 0], [0, 1], [0, 0]], [[0, 0], [1, 0], [0, 1]]):
+        assert np.array_equal(merge_parallel(Povm(np.array(M, dtype=complex))).matrix, np.eye(2))
 
 
 def test_merge_parallel_rejects_a_negative_tol():

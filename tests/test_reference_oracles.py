@@ -499,7 +499,7 @@ def lbfgs_shifting(x, max_iters):
     return x, f, grad_norm, iterations, evaluations, stop
 
 
-def search_shifting(charts, starts, d, e, max_iters):
+def search_shifting(charts, starts, max_iters):
     """The lockstep search over lbfgs_shifting runs, pending points kept in a dict by start."""
     starts = np.stack(starts)
     R, r, n = starts.shape
@@ -512,7 +512,7 @@ def search_shifting(charts, starts, d, e, max_iters):
             live = list(pending)
             stack = charts.take(live)
         X = np.stack(list(pending.values()))
-        F, G = _cost_and_grad(X.view(complex).reshape(len(X), r, n), stack, d, e)
+        F, G = _cost_and_grad(X.view(complex).reshape(len(X), r, n), stack)
         for k, f, g in zip(live, F, G.view(float).reshape(len(X), 2 * r * n)):
             try:
                 pending[k] = runs[k].send((float(f), g))
@@ -524,10 +524,9 @@ def search_shifting(charts, starts, d, e, max_iters):
 
 def assert_same_search(problems, cfg):
     """_search equals search_shifting bit for bit on the stack of problems; returns its runs."""
-    charts, starts, e = stack(problems, cfg)
-    d = problems[0][0].d
-    runs = _search(charts, starts, d, e, cfg.max_iters)
-    refs = search_shifting(charts, starts, d, e, cfg.max_iters)
+    charts, starts = stack(problems, cfg)
+    runs = _search(charts, starts, cfg.max_iters)
+    refs = search_shifting(charts, starts, cfg.max_iters)
     assert len(runs) == len(refs) == len(starts)
     for k, (run, ref) in enumerate(zip(runs, refs)):
         assert np.array_equal(run[0], ref[0]), k
@@ -632,8 +631,8 @@ KERNEL_STACKS = {
 def test_cost_and_grad_matches_whole_rows(name):
     problems = KERNEL_STACKS[name]
     cfg = OptimizerConfig(restarts=4, seed=5)
-    charts, starts, e = _stack(problems, [_chart(P, e)[1:] for P, e in problems], cfg)
-    d = problems[0][0].d
+    charts, starts = _stack(problems, [_chart(P, e)[1:] for P, e in problems], cfg)
+    d, e = problems[0][0].d, max(e for _, e in problems)
     M = np.stack([P.matrix for P, _ in problems]).repeat(cfg.restarts, axis=0)
     rng = np.random.default_rng(11)
     # the start points (the default completions among them), then random points of the stack
@@ -644,7 +643,7 @@ def test_cost_and_grad_matches_whole_rows(name):
             Z[np.broadcast_to(charts.pad, Z.shape)] = 0
         points.append(Z)
     for Z in points:
-        f, G = _cost_and_grad(Z, charts, d, e)
+        f, G = _cost_and_grad(Z, charts)
         f_ref, G_ref = cost_and_grad_full_rows(Z, M, charts.B, charts.weights, d, e)
         if charts.pad is not None:
             G_ref[np.broadcast_to(charts.pad, G_ref.shape)] = 0
